@@ -16,29 +16,113 @@ External facts — e.g. from a symbolic analysis — can be injected via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..syncgraph.model import SyncGraph, SyncNode
+from .orderings import row_members, transpose
 
 __all__ = ["CoExecInfo", "compute_coexec"]
 
 
-@dataclass
 class CoExecInfo:
-    """``NOT-COEXEC`` facts: pairs that can never execute in one run."""
+    """``NOT-COEXEC`` facts: pairs that can never execute in one run.
 
-    not_coexec: Dict[SyncNode, FrozenSet[SyncNode]]
+    Held as symmetric bit rows over the rendezvous ids of ``nodes``
+    (the ``graph.rendezvous_nodes`` order); the set-valued view
+    ``not_coexec`` is built on first use.
+    """
+
+    def __init__(self, nodes: Sequence[SyncNode], rows: List[int]) -> None:
+        self.nodes: Tuple[SyncNode, ...] = tuple(nodes)
+        self.rows = rows
+        self._ids: Optional[Dict[SyncNode, int]] = None
+        self._not_coexec: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = None
+
+    @property
+    def ids(self) -> Dict[SyncNode, int]:
+        """Rendezvous id of each node."""
+        if self._ids is None:
+            self._ids = {node: i for i, node in enumerate(self.nodes)}
+        return self._ids
+
+    @property
+    def not_coexec(self) -> Dict[SyncNode, FrozenSet[SyncNode]]:
+        if self._not_coexec is None:
+            nodes = self.nodes
+            self._not_coexec = {
+                node: row_members(nodes, row)
+                for node, row in zip(nodes, self.rows)
+            }
+        return self._not_coexec
 
     def not_coexecutable(self, a: SyncNode, b: SyncNode) -> bool:
-        return b in self.not_coexec.get(a, frozenset())
+        ids = self.ids
+        i = ids.get(a)
+        j = ids.get(b)
+        if i is None or j is None:
+            return False
+        return bool((self.rows[i] >> j) & 1)
 
     def not_coexec_with(self, a: SyncNode) -> FrozenSet[SyncNode]:
         return self.not_coexec.get(a, frozenset())
 
     @property
     def pair_count(self) -> int:
-        return sum(len(v) for v in self.not_coexec.values()) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
+
+
+def _control_reach(graph: SyncGraph) -> List[int]:
+    """``reach[i]``: bitset of rendezvous ids control-reachable from
+    rendezvous ``i`` (strict: ``i`` itself only when it lies on a
+    cycle through itself).
+
+    One bit-OR per control edge, visiting nodes in DFS postorder so a
+    node's successors are final before it is (reverse topological order
+    on acyclic control flow): one sweep, plus one that confirms nothing
+    changes.  With control cycles the sweep repeats until then.
+    """
+    nodes = graph.nodes
+    n = len(nodes)
+    ids = {node: i for i, node in enumerate(nodes)}
+    succ = [[ids[d] for d in graph.control_successors(v)] for v in nodes]
+    own = [0] * n
+    r = 0
+    for i, node in enumerate(nodes):
+        if node.is_rendezvous:
+            own[i] = 1 << r
+            r += 1
+
+    post: List[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if not seen[w]:
+                    seen[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+            else:
+                work.pop()
+                post.append(v)
+
+    reach = [0] * n
+    changed = True
+    while changed:
+        changed = False
+        for v in post:
+            bits = reach[v]
+            for w in succ[v]:
+                bits |= own[w] | reach[w]
+            if bits != reach[v]:
+                reach[v] = bits
+                changed = True
+    return [reach[i] for i, node in enumerate(nodes) if node.is_rendezvous]
 
 
 def compute_coexec(
@@ -52,52 +136,21 @@ def compute_coexec(
     exclusive conditional branches).  With control cycles the
     reachability test is still safe — loop bodies reach themselves.
     """
-    rendezvous = graph.rendezvous_nodes
-    rid = {node: i for i, node in enumerate(rendezvous)}
-    result: Dict[SyncNode, Set[SyncNode]] = {n: set() for n in rendezvous}
+    with obs.span("coexec.compute"):
+        rendezvous = graph.rendezvous_nodes
+        reach = _control_reach(graph)
+        reached_by = transpose(reach)
 
-    # reach[i] = bitset of rendezvous nodes control-reachable from node
-    # i (strict: i itself only when it lies on a cycle through itself).
-    reach = [0] * len(rendezvous)
-    for node in rendezvous:
-        seen: Set[SyncNode] = set()
-        stack = list(graph.control_successors(node))
-        bits = 0
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            j = rid.get(cur)
-            if j is not None:
-                bits |= 1 << j
-            stack.extend(graph.control_successors(cur))
-        reach[rid[node]] = bits
-
-    reached_by = [0] * len(rendezvous)
-    for i, bits in enumerate(reach):
-        bit_i = 1 << i
-        m = bits
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            reached_by[j] |= bit_i
-
-    for task in graph.tasks:
-        task_mask = 0
-        for node in graph.nodes_of_task(task):
-            task_mask |= 1 << rid[node]
-        for node in graph.nodes_of_task(task):
-            i = rid[node]
-            m = task_mask & ~reach[i] & ~reached_by[i] & ~(1 << i)
-            pairs = result[node]
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                pairs.add(rendezvous[j])
-    for a, b in extra_not_coexec:
-        result[a].add(b)
-        result[b].add(a)
-    return CoExecInfo(
-        not_coexec={n: frozenset(s) for n, s in result.items()}
-    )
+        rid = {node: i for i, node in enumerate(rendezvous)}
+        rows = [0] * len(rendezvous)
+        for task in graph.tasks:
+            ids = [rid[node] for node in graph.nodes_of_task(task)]
+            task_mask = 0
+            for i in ids:
+                task_mask |= 1 << i
+            for i in ids:
+                rows[i] = task_mask & ~reach[i] & ~reached_by[i] & ~(1 << i)
+        for a, b in extra_not_coexec:
+            rows[rid[a]] |= 1 << rid[b]
+            rows[rid[b]] |= 1 << rid[a]
+        return CoExecInfo(rendezvous, rows)

@@ -55,6 +55,11 @@ def _coaccept(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
     )
 
 
+def _spread(row: int) -> int:
+    """Move bit ``k`` of ``row`` to bit ``2k`` (string ops run in C)."""
+    return int("0".join(bin(row)[2:]), 2) if row else 0
+
+
 class AnalysisIndex:
     """Dense-id bitset view of one sync graph + CLG.
 
@@ -78,7 +83,10 @@ class AnalysisIndex:
             orderings if orderings is not None else compute_orderings(graph)
         )
         self.coexec = coexec if coexec is not None else compute_coexec(graph)
+        with obs.span("index.build"):
+            self._build(graph)
 
+    def _build(self, graph: SyncGraph) -> None:
         clg = self.clg
         node_index = clg.node_index
         nodes = clg.nodes
@@ -149,11 +157,28 @@ class AnalysisIndex:
         task_bits: Dict[str, int] = {}
         in_id = self.in_id
         out_id = self.out_id
-        for s in graph.rendezvous_nodes:
-            m = 0
-            for k in self.orderings.sequenceable_with(s):
-                m |= 1 << in_id[k]
-            seq_bits[s] = m
+        rendezvous = graph.rendezvous_nodes
+        if (
+            self.orderings.nodes != rendezvous
+            or self.coexec.nodes != rendezvous
+            or any(
+                in_id[s] != 2 * k + 2 or out_id[s] != 2 * k + 3
+                for k, s in enumerate(rendezvous)
+            )
+        ):
+            raise ValueError(
+                "AnalysisIndex needs the CLG layout of build_clg and the "
+                "orderings and coexec facts of the same graph"
+            )
+        # build_clg puts r_i / r_o of rendezvous id k at CLG ids 2k + 2 /
+        # 2k + 3, so a row over rendezvous ids maps to CLG ids by
+        # spreading its bits.
+        seq_rows = self.orderings.sequenceable_rows
+        nce_rows = self.coexec.rows
+        for k, s in enumerate(rendezvous):
+            seq_bits[s] = _spread(seq_rows[k]) << 2
+            not_coexec_bits[s] = (_spread(nce_rows[k]) * 3) << 2
+        for s in rendezvous:
             m = 0
             for k in graph.sync_neighbors(s):
                 m |= 1 << in_id[k]
@@ -162,10 +187,6 @@ class AnalysisIndex:
             for k in _coaccept(graph, s):
                 m |= (1 << in_id[k]) | (1 << out_id[k])
             coaccept_bits[s] = m
-            m = 0
-            for k in self.coexec.not_coexec_with(s):
-                m |= (1 << in_id[k]) | (1 << out_id[k])
-            not_coexec_bits[s] = m
         for task in graph.tasks:
             t_in = 0
             t_all = 0

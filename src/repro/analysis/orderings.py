@@ -46,41 +46,149 @@ Two sound strengthenings are applied on acyclic control flow:
 If ``precedes(h, k)`` or ``precedes(k, h)`` holds, the two nodes can
 never be simultaneously waiting on an execution wave — exactly the
 property the NO-SYNC marking needs.
+
+**Only the immediate dominator is read.**  The dominator clauses above
+quantify over every strict dominator, but the solver reads only
+``REL(idom(x), ·)``, the row of ``x``'s nearest rendezvous dominator.
+Both systems have the same least fixpoint.  Reading fewer rows can only
+derive fewer facts, so the idom-only fixpoint is contained in the full
+one.  Conversely, at the idom-only fixpoint every strict dominator
+``d`` of ``x`` has ``REL(d, ·) ⊆ REL(x, ·)``: by induction on the depth
+of ``x`` in the dominator tree, ``d`` is either ``idom(x)`` (read
+directly) or a strict dominator of ``idom(x)`` (so ``REL(d, ·) ⊆
+REL(idom(x), ·) ⊆ REL(x, ·)``).  The idom-only fixpoint therefore
+satisfies every clause of the full system, and contains its least
+fixpoint.  Reflexivity puts ``idom(x)`` itself into the row, so the
+"``h`` strictly dominates ``x``" clause is covered too.  The argument
+uses neither transitivity nor acyclicity.  By the same argument
+``precedes(h, k)`` ≡ ``REL(idom(k), h)`` for ``h ≠ k``.
+
+**Partners.**  By the same argument, a sync partner strictly dominated
+by another partner of ``x`` has a superset row at the fixpoint, so the
+all-partners clause reads only the dominance-minimal partners.
+
+**Cost.**  The facts live as one integer bitset row per node, over the
+rendezvous ids ``0..N-1`` of ``graph.rendezvous_nodes``.  Nodes are
+evaluated in dependency order: the strongly connected components of
+the "reads" graph (immediate dominator, minimal partners) come after
+the components they read, each component in dominator-depth order.
+On the chain-shaped programs this checker sees, each node then settles
+after one or two evaluations.  The transitive clause folds only
+deltas: when ``x`` gains members it ORs in their rows once and
+subscribes to them, and when a subscribed row later grows only the
+growth is pushed to ``x``.  Members that arrive with ``REL(idom(x),
+·)`` are not folded at all, since that row is closed at the fixpoint
+and ``x`` reads it.  Each evaluation is O(N/w) word operations plus
+O(1) per folded member, so the solver runs in O(N²) word operations
+when each node is evaluated O(1) times, against an output of Θ(N²)
+pairs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .. import obs
+from ..cfg.dominators import idoms
 from ..syncgraph.model import SyncGraph, SyncNode
 
-__all__ = ["OrderingInfo", "compute_orderings"]
+__all__ = ["OrderingInfo", "compute_orderings", "strict_dominators"]
 
 
-@dataclass
+def transpose(rows: Sequence[int]) -> List[int]:
+    """Transpose a square bit matrix given as int rows.
+
+    Works on fixed-width binary strings, so the Θ(N²) bit moves run in
+    C rather than one interpreted step per set bit.
+    """
+    n = len(rows)
+    text = [format(row, f"0{n}b") for row in rows]
+    # Column j of ``text`` holds bit n-1-j of every row, row 0 first.
+    columns = [int("".join(col[::-1]), 2) for col in zip(*text)]
+    columns.reverse()
+    return columns
+
+
+def row_members(
+    nodes: Sequence[SyncNode], row: int
+) -> FrozenSet[SyncNode]:
+    """The nodes whose ids are set in ``row``."""
+    members = []
+    while row:
+        low = row & -row
+        members.append(nodes[low.bit_length() - 1])
+        row ^= low
+    return frozenset(members)
+
+
 class OrderingInfo:
     """Prefix-sound must-ordering facts over rendezvous nodes.
 
-    ``precedes[a]`` is the set of nodes ``b`` such that ``b`` cannot be
-    reached before ``a`` has completed its rendezvous.
+    Held as bit rows over the rendezvous ids of ``nodes`` (the
+    ``graph.rendezvous_nodes`` order): bit ``h`` of
+    ``preceded_by_rows[k]`` says ``nodes[k]`` cannot be reached before
+    ``nodes[h]`` has completed its rendezvous.  The forward rows are
+    their transpose; they and the set-valued views (``precedes``,
+    ``sequenceable_with``) are built on first use.
     """
 
-    precedes: Dict[SyncNode, FrozenSet[SyncNode]]
-    # Lazily built symmetric closure (forward ∪ backward per node); the
-    # refined algorithm queries sequenceable_with once per head per
-    # analysis, so the reverse map is materialized once instead of
-    # re-scanning all of ``precedes`` per query.
-    _seq_with: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = field(
-        default=None, compare=False, repr=False
-    )
+    def __init__(
+        self, nodes: Sequence[SyncNode], preceded_by_rows: List[int]
+    ) -> None:
+        self.nodes: Tuple[SyncNode, ...] = tuple(nodes)
+        self.preceded_by_rows = preceded_by_rows
+        self._precedes_rows: Optional[List[int]] = None
+        self._ids: Optional[Dict[SyncNode, int]] = None
+        self._seq_rows: Optional[List[int]] = None
+        self._precedes: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = None
+        # Symmetric closure per node, materialized on the first
+        # sequenceable_with query (the reference backend asks once per
+        # head per analysis).
+        self._seq_with: Optional[Dict[SyncNode, FrozenSet[SyncNode]]] = None
+
+    @property
+    def ids(self) -> Dict[SyncNode, int]:
+        """Rendezvous id of each node."""
+        if self._ids is None:
+            self._ids = {node: i for i, node in enumerate(self.nodes)}
+        return self._ids
+
+    @property
+    def precedes_rows(self) -> List[int]:
+        """Forward rows: bit ``k`` of row ``h`` iff ``precedes(h, k)``."""
+        if self._precedes_rows is None:
+            self._precedes_rows = transpose(self.preceded_by_rows)
+        return self._precedes_rows
+
+    @property
+    def sequenceable_rows(self) -> List[int]:
+        """Forward ∪ backward row per node (the SEQUENCEABLE vector)."""
+        if self._seq_rows is None:
+            self._seq_rows = [
+                f | b
+                for f, b in zip(self.precedes_rows, self.preceded_by_rows)
+            ]
+        return self._seq_rows
+
+    @property
+    def precedes(self) -> Dict[SyncNode, FrozenSet[SyncNode]]:
+        """``precedes[a]``: the nodes not reached before ``a`` completed."""
+        if self._precedes is None:
+            nodes = self.nodes
+            self._precedes = {
+                node: row_members(nodes, row)
+                for node, row in zip(nodes, self.precedes_rows)
+            }
+        return self._precedes
 
     def must_precede(self, a: SyncNode, b: SyncNode) -> bool:
-        return b in self.precedes.get(a, frozenset())
+        ids = self.ids
+        i = ids.get(a)
+        j = ids.get(b)
+        if i is None or j is None:
+            return False
+        return bool((self.preceded_by_rows[j] >> i) & 1)
 
     def sequenceable(self, a: SyncNode, b: SyncNode) -> bool:
         return self.must_precede(a, b) or self.must_precede(b, a)
@@ -88,16 +196,10 @@ class OrderingInfo:
     def sequenceable_with(self, a: SyncNode) -> FrozenSet[SyncNode]:
         cache = self._seq_with
         if cache is None:
-            backward: Dict[SyncNode, Set[SyncNode]] = {}
-            for b, targets in self.precedes.items():
-                for t in targets:
-                    backward.setdefault(t, set()).add(b)
+            nodes = self.nodes
             cache = {
-                node: frozenset(
-                    self.precedes.get(node, frozenset())
-                    | backward.get(node, set())
-                )
-                for node in set(self.precedes) | set(backward)
+                node: row_members(nodes, row)
+                for node, row in zip(nodes, self.sequenceable_rows)
             }
             self._seq_with = cache
         return cache.get(a, frozenset())
@@ -105,23 +207,65 @@ class OrderingInfo:
     @property
     def pair_count(self) -> int:
         """Number of ordered pairs (for reporting/benchmarks)."""
-        return sum(len(v) for v in self.precedes.values())
+        return sum(row.bit_count() for row in self.preceded_by_rows)
 
 
-def _task_control_graph(graph: SyncGraph, task: str) -> "nx.DiGraph":
-    """Per-task control graph rooted at ``b``: the task's rendezvous
-    nodes plus ``b``/``e`` with the control edges among them."""
-    g = nx.DiGraph()
-    nodes = set(graph.nodes_of_task(task))
-    g.add_node(graph.b)
-    g.add_node(graph.e)
-    g.add_nodes_from(nodes)
-    for src, dst in graph.control_edges():
-        src_ok = src is graph.b or src in nodes
-        dst_ok = dst is graph.e or dst in nodes
-        if src_ok and dst_ok:
-            g.add_edge(src, dst)
-    return g
+def _rendezvous_idoms(graph: SyncGraph) -> Tuple[List[int], List[int]]:
+    """Per rendezvous id: its nearest strict rendezvous dominator within
+    its task (``-1`` if none) and its depth in that dominator tree.
+
+    Each task's control graph is rooted at ``b`` and holds the task's
+    rendezvous nodes plus ``b``/``e`` with the control edges among them.
+    """
+    nodes = graph.rendezvous_nodes
+    rid = {node: i for i, node in enumerate(nodes)}
+    ridom = [-1] * len(nodes)
+    depth = [0] * len(nodes)
+    for task in graph.tasks:
+        members = graph.nodes_of_task(task)
+        if not members:
+            continue
+        # Local ids: b = 0, e = 1, then the task's nodes.
+        local = {node: k for k, node in enumerate(members, start=2)}
+        local[graph.e] = 1
+        succ: List[List[int]] = [
+            [local[d] for d in graph.control_successors(graph.b)
+             if d in local],
+            [],
+        ]
+        for node in members:
+            succ.append(
+                [local[d] for d in graph.control_successors(node)
+                 if d in local]
+            )
+        idom = idoms(0, succ)
+        for k, node in enumerate(members, start=2):
+            d = idom[k]
+            if d >= 2:
+                ridom[rid[node]] = rid[members[d - 2]]
+    for i in range(len(nodes)):
+        if depth[i] or ridom[i] < 0:
+            continue
+        chain = []
+        j = i
+        while ridom[j] >= 0 and not depth[j]:
+            chain.append(j)
+            j = ridom[j]
+        base = depth[j]
+        for j in reversed(chain):
+            base += 1
+            depth[j] = base
+    return ridom, depth
+
+
+def _dominator_rows(ridom: List[int], depth: List[int]) -> List[int]:
+    """Bit row of all strict rendezvous dominators per node."""
+    rows = [0] * len(ridom)
+    for x in sorted(range(len(ridom)), key=depth.__getitem__):
+        d = ridom[x]
+        if d >= 0:
+            rows[x] = rows[d] | (1 << d)
+    return rows
 
 
 def strict_dominators(graph: SyncGraph) -> Dict[SyncNode, FrozenSet[SyncNode]]:
@@ -131,30 +275,22 @@ def strict_dominators(graph: SyncGraph) -> Dict[SyncNode, FrozenSet[SyncNode]]:
     start to ``x`` in ``x``'s task passes through (and therefore
     completes) ``d`` first.
     """
+    with obs.span("orderings.dominators"):
+        ridom, depth = _rendezvous_idoms(graph)
+    nodes = graph.rendezvous_nodes
     result: Dict[SyncNode, FrozenSet[SyncNode]] = {}
-    for task in graph.tasks:
-        g = _task_control_graph(graph, task)
-        task_nodes = [n for n in g.nodes if n.is_rendezvous]
-        if not task_nodes:
-            continue
-        idom = nx.immediate_dominators(g, graph.b)
-        for node in task_nodes:
-            doms: Set[SyncNode] = set()
-            walker = node
-            while walker in idom and idom[walker] is not walker:
-                walker = idom[walker]
-                if walker.is_rendezvous:
-                    doms.add(walker)
-            result[node] = frozenset(doms)
-    for node in graph.rendezvous_nodes:
-        result.setdefault(node, frozenset())
+    for x in sorted(range(len(nodes)), key=depth.__getitem__):
+        d = ridom[x]
+        result[nodes[x]] = (
+            result[nodes[d]] | {nodes[d]} if d >= 0 else frozenset()
+        )
     return result
 
 
 def _counting_seeds(
-    graph: SyncGraph, doms: Dict[SyncNode, FrozenSet[SyncNode]]
-) -> List[Tuple[SyncNode, SyncNode]]:
-    """Counting-rule seed facts ``REL(last, other_side_node)``.
+    graph: SyncGraph, rid: Dict[SyncNode, int], dom_rows: List[int]
+) -> List[Tuple[int, int]]:
+    """Counting-rule seed facts ``REL(last, other_side_node)`` as ids.
 
     For a signal whose accept (resp. send) nodes all sit in one task in
     a strict domination chain, with equally many nodes on the other
@@ -162,27 +298,79 @@ def _counting_seeds(
     node on the other side.  Only sound when nodes fire at most once,
     i.e. acyclic control flow — the caller checks that.
     """
-    seeds: List[Tuple[SyncNode, SyncNode]] = []
+    seeds: List[Tuple[int, int]] = []
     for signal in graph.signals:
         senders = graph.senders_of(signal)
         accepters = graph.accepters_of(signal)
         if not senders or not accepters or len(senders) != len(accepters):
             continue
         for side, other in ((accepters, senders), (senders, accepters)):
-            tasks = {n.task for n in side}
-            if len(tasks) != 1:
+            if len({n.task for n in side}) != 1:
                 continue
+            ids = [rid[n] for n in side]
+            mask = 0
+            for i in ids:
+                mask |= 1 << i
             chain = sorted(
-                side, key=lambda n: sum(1 for m in side if m in doms[n])
+                ids, key=lambda i: (dom_rows[i] & mask).bit_count()
             )
-            ok = all(
-                chain[i] in doms[chain[i + 1]] for i in range(len(chain) - 1)
-            )
-            if not ok:
-                continue
-            last = chain[-1]
-            seeds.extend((last, o) for o in other)
+            if all(
+                (dom_rows[b] >> a) & 1 for a, b in zip(chain, chain[1:])
+            ):
+                seeds.extend((chain[-1], rid[o]) for o in other)
     return seeds
+
+
+def _evaluation_order(
+    reads: List[Tuple[int, ...]], depth: List[int]
+) -> List[int]:
+    """Node ids with the rows each node reads evaluated before it where
+    possible: the strongly connected components of the read graph in
+    dependency order (Tarjan emits a component after every component
+    it reads), each component in dominator-depth order."""
+    n = len(reads)
+    by_depth = sorted(range(n), key=lambda i: (depth[i], i))
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    order: List[int] = []
+    counter = 0
+    for root in by_depth:
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(reads[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(reads[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    component.sort(key=lambda i: (depth[i], i))
+                    order.extend(component)
+    return order
 
 
 def compute_orderings(
@@ -195,62 +383,75 @@ def compute_orderings(
     strengthenings assume each node fires at most once and are only
     applied on acyclic control subgraphs.
 
-    The fixpoint is solved with a reverse-dependency worklist over
-    integer bitsets: a node is re-evaluated only when a fact it reads —
-    a dominator's or sync partner's REL row, or (for the transitive
-    clause) the row of a current member — actually grew, instead of the
-    reference round-robin Gauss–Seidel sweeps that re-visit every node
-    per round.  The work budget is ``max_iterations × |nodes|``
-    evaluations (the sweep equivalent); exhausting it returns the
+    The fixpoint is solved with a priority worklist over integer
+    bitsets: a node is re-evaluated only when a row it reads grew (its
+    immediate dominator's, a sync partner's, or — for the transitive
+    clause — a member's), and the pending node earliest in dependency
+    order (see the module docs) goes first.  The work budget is
+    ``max_iterations × |nodes|`` evaluations; exhausting it returns the
     partial fixpoint, which is sound (a subset of the derivable facts,
     so strictly less pruning) but imprecise, and warns.
     """
+    with obs.span("orderings.compute"):
+        return _compute_orderings(graph, max_iterations)
+
+
+def _compute_orderings(graph: SyncGraph, max_iterations: int) -> OrderingInfo:
     nodes = graph.rendezvous_nodes
     n = len(nodes)
     if n == 0:
-        return OrderingInfo(precedes={})
+        return OrderingInfo(nodes, [])
     rid = {node: i for i, node in enumerate(nodes)}
-    doms = strict_dominators(graph)
+    with obs.span("orderings.dominators"):
+        ridom, depth = _rendezvous_idoms(graph)
     acyclic = not graph.has_control_cycle()
-
-    dom_bits = [0] * n
+    dom_rows = _dominator_rows(ridom, depth)
+    # The all-partners clause reads only the dominance-minimal partners:
+    # a partner strictly dominated by another partner has a superset row
+    # at the fixpoint (same argument as for idom), so it cannot shrink
+    # the intersection.
+    partner_ids: List[Tuple[int, ...]] = []
     for x in nodes:
-        xi = rid[x]
-        for d in doms[x]:
-            dom_bits[xi] |= 1 << rid[d]
-    partner_ids: List[Tuple[int, ...]] = [
-        tuple(rid[p] for p in graph.sync_neighbors(x)) for x in nodes
-    ]
+        ids = [rid[p] for p in graph.sync_neighbors(x)]
+        mask = 0
+        for p in ids:
+            mask |= 1 << p
+        partner_ids.append(tuple(p for p in ids if not dom_rows[p] & mask))
+
+    # ``pos`` ranks a node in evaluation order; the worklist is a bitset
+    # over ranks, so its lowest bit is the pending node that comes first.
+    order = _evaluation_order(
+        [
+            partner_ids[x] + ((ridom[x],) if ridom[x] >= 0 else ())
+            for x in range(n)
+        ],
+        depth,
+    )
+    pos = [0] * n
+    for p, x in enumerate(order):
+        pos[x] = p
 
     # rel[x] = bitset of h with REL(x, h): "x completed => h completed".
-    rel = [(1 << i) | dom_bits[i] for i in range(n)]
+    # Rows start empty; ``pending`` holds facts not yet folded into a
+    # row — the seeds at first, then growth pushed from member rows.
+    rel = [0] * n
+    pending = [1 << i for i in range(n)]
     if acyclic:
-        for x, h in _counting_seeds(graph, doms):
-            rel[rid[x]] |= 1 << rid[h]
+        for x, h in _counting_seeds(graph, rid, dom_rows):
+            pending[x] |= 1 << h
 
-    # Static reverse dependencies: when rel[y] grows, re-evaluate every
-    # x that reads rel[y] through the dominator or all-partners clause.
-    dep_static = [0] * n
-    for i in range(n):
-        bit = 1 << i
-        m = dom_bits[i]
-        while m:
-            d = (m & -m).bit_length() - 1
-            m &= m - 1
-            dep_static[d] |= bit
-        for p in partner_ids[i]:
-            dep_static[p] |= bit
-
-    # Dynamic reverse dependencies for the transitive clause:
-    # member_of[y] = bitset of x with y ∈ rel[x], maintained as rows grow.
+    # Static readers (as rank bits): when rel[y] grows, re-evaluate the
+    # nodes whose immediate dominator or sync partner is y.
+    readers = [0] * n
+    for x in range(n):
+        bit = 1 << pos[x]
+        if ridom[x] >= 0:
+            readers[ridom[x]] |= bit
+        for p in partner_ids[x]:
+            readers[p] |= bit
+    # Transitive readers: member_of[y] = bitset of the x that folded
+    # rel[y] into rel[x]; growth of rel[y] is pushed to them.
     member_of = [0] * n
-    for i in range(n):
-        bit = 1 << i
-        m = rel[i]
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
-            member_of[y] |= bit
 
     budget = max_iterations * n
     steps = 0
@@ -260,15 +461,15 @@ def compute_orderings(
         if steps >= budget:
             exhausted = True
             break
-        x = (worklist & -worklist).bit_length() - 1
-        worklist &= worklist - 1
+        low = worklist & -worklist
+        worklist ^= low
+        x = order[low.bit_length() - 1]
         steps += 1
         cur = rel[x]
-        new = cur
-        m = dom_bits[x]
-        while m:
-            d = (m & -m).bit_length() - 1
-            m &= m - 1
+        new = cur | pending[x]
+        pending[x] = 0
+        d = ridom[x]
+        if d >= 0:
             new |= rel[d]
         pids = partner_ids[x]
         if pids:
@@ -278,30 +479,34 @@ def compute_orderings(
                 if not common:
                     break
             new |= common
+        if new == cur:
+            continue
         if acyclic:
-            # Transitive closure: x completed => y completed => ...
-            # One pass over the pre-clause members; re-enqueueing below
-            # covers anything the new members imply.
-            m = new
-            while m:
-                y = (m & -m).bit_length() - 1
-                m &= m - 1
-                new |= rel[y]
-        if new != cur:
-            delta = new & ~cur
-            rel[x] = new
+            # Transitive closure: fold the row of every member gained in
+            # this evaluation once, and subscribe x to later growth of
+            # that row.  Members of rel[idom(x)] are skipped: the
+            # idom's row is closed at the fixpoint and x reads it.
             bitx = 1 << x
-            m = delta
-            while m:
-                y = (m & -m).bit_length() - 1
-                m &= m - 1
+            folded = cur | rel[d] if d >= 0 else cur
+            todo = new & ~folded
+            while todo:
+                low = todo & -todo
+                y = low.bit_length() - 1
+                new |= rel[y]
                 member_of[y] |= bitx
-            deps = dep_static[x]
-            if acyclic:
-                # Readers of rel[x] via transitivity, plus x itself:
-                # the rows of the members just gained are not folded in.
-                deps |= member_of[x] | bitx
-            worklist |= deps
+                folded |= low
+                todo = new & ~folded
+        delta = new & ~cur
+        rel[x] = new
+        worklist |= readers[x]
+        if acyclic:
+            m = member_of[x] & ~bitx
+            while m:
+                low = m & -m
+                z = low.bit_length() - 1
+                pending[z] |= delta
+                worklist |= 1 << pos[z]
+                m ^= low
 
     if exhausted:
         warnings.warn(
@@ -310,33 +515,15 @@ def compute_orderings(
             f"convergence; returning the partial fixpoint (sound but "
             f"imprecise — fewer SEQUENCEABLE facts, less pruning)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     if obs.is_enabled():
         obs.counter("orderings.worklist_steps").inc(steps)
         if exhausted:
             obs.counter("orderings.max_iterations_exhausted").inc()
 
-    precedes_bits = [0] * n
-    for k in range(n):
-        reached_implies = 0
-        m = dom_bits[k]
-        while m:
-            d = (m & -m).bit_length() - 1
-            m &= m - 1
-            reached_implies |= rel[d]
-        m = reached_implies & ~(1 << k)
-        while m:
-            h = (m & -m).bit_length() - 1
-            m &= m - 1
-            precedes_bits[h] |= 1 << k
-    precedes: Dict[SyncNode, FrozenSet[SyncNode]] = {}
-    for h in range(n):
-        targets: Set[SyncNode] = set()
-        m = precedes_bits[h]
-        while m:
-            k = (m & -m).bit_length() - 1
-            m &= m - 1
-            targets.add(nodes[k])
-        precedes[nodes[h]] = frozenset(targets)
-    return OrderingInfo(precedes=precedes)
+    # precedes(h, k) iff REL(idom(k), h) and h != k.
+    preceded_by = [
+        rel[ridom[k]] & ~(1 << k) if ridom[k] >= 0 else 0 for k in range(n)
+    ]
+    return OrderingInfo(nodes, preceded_by)

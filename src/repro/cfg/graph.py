@@ -11,13 +11,51 @@ co-executability analyses work on the full CFG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from ..lang.ast_nodes import Statement
 
-__all__ = ["CFGNode", "TaskCFG", "NodeKind"]
+if TYPE_CHECKING:  # networkx is only needed by the optional exports
+    import networkx as nx
+
+__all__ = ["CFGNode", "TaskCFG", "NodeKind", "is_acyclic"]
+
+
+def is_acyclic(
+    nodes: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> bool:
+    """Kahn's test: True iff the graph over ``nodes`` has no cycle.
+
+    Edges to nodes outside ``nodes`` are ignored.
+    """
+    indegree: Dict[Hashable, int] = {node: 0 for node in nodes}
+    for node in indegree:
+        for nxt in successors(node):
+            if nxt in indegree:
+                indegree[nxt] += 1
+    ready = [node for node, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        node = ready.pop()
+        removed += 1
+        for nxt in successors(node):
+            if nxt in indegree:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    ready.append(nxt)
+    return removed == len(indegree)
 
 
 class NodeKind:
@@ -118,15 +156,7 @@ class TaskCFG:
 
     def reachable_from(self, start: CFGNode) -> Set[CFGNode]:
         """All nodes reachable from ``start`` (inclusive)."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nxt in self._succ[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+        return _reach(start, self._succ)
 
     def reaches(self, src: CFGNode, dst: CFGNode) -> bool:
         """True if there is a (possibly empty) control path src → dst."""
@@ -135,8 +165,7 @@ class TaskCFG:
     def check_connected(self) -> None:
         """Assert every node is on an entry→exit path; raises otherwise."""
         from_entry = self.reachable_from(self.entry)
-        reverse = self.to_networkx().reverse(copy=False)
-        to_exit = set(nx.descendants(reverse, self.exit)) | {self.exit}
+        to_exit = _reach(self.exit, self._pred)
         for node in self._nodes:
             if node not in from_entry or node not in to_exit:
                 raise AssertionError(
@@ -144,6 +173,9 @@ class TaskCFG:
                 )
 
     def to_networkx(self) -> "nx.DiGraph":
+        """Export as a ``networkx.DiGraph`` (needs the ``graph`` extra)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self._nodes)
         g.add_edges_from(self.edges())
@@ -151,3 +183,17 @@ class TaskCFG:
 
     def __len__(self) -> int:
         return len(self._nodes)
+
+
+def _reach(
+    start: CFGNode, adjacency: Dict[CFGNode, List[CFGNode]]
+) -> Set[CFGNode]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for nxt in adjacency[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import List, Set, Tuple
 
-import networkx as nx
-
 from ..errors import IrreducibleFlowError
 from .dominators import dominator_sets
-from .graph import CFGNode, TaskCFG
+from .graph import CFGNode, TaskCFG, is_acyclic
 
 __all__ = ["back_edges", "is_reducible", "ensure_reducible"]
 
@@ -33,10 +31,10 @@ def back_edges(cfg: TaskCFG) -> List[Tuple[CFGNode, CFGNode]]:
 def is_reducible(cfg: TaskCFG) -> bool:
     """True iff the CFG is reducible."""
     backs: Set[Tuple[CFGNode, CFGNode]] = set(back_edges(cfg))
-    g = nx.DiGraph()
-    g.add_nodes_from(cfg.nodes)
-    g.add_edges_from(e for e in cfg.edges() if e not in backs)
-    return nx.is_directed_acyclic_graph(g)
+    return is_acyclic(
+        cfg.nodes,
+        lambda u: [v for v in cfg.successors(u) if (u, v) not in backs],
+    )
 
 
 def ensure_reducible(cfg: TaskCFG) -> None:

@@ -17,13 +17,24 @@ signaling (send) point and ``-`` for an accepting point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
-
-from ..cfg.graph import CFGNode
+from ..cfg.graph import CFGNode, is_acyclic
 from ..errors import UnknownTaskError
 from ..lang.ast_nodes import Signal
+
+if TYPE_CHECKING:  # networkx is only needed by the optional export
+    import networkx as nx
 
 __all__ = ["SyncNode", "SyncGraph", "SIGN_SEND", "SIGN_ACCEPT"]
 
@@ -281,10 +292,7 @@ class SyncGraph:
         return src is dst or dst in self.control_descendants(src)
 
     def has_control_cycle(self) -> bool:
-        g = nx.DiGraph()
-        g.add_nodes_from(self._nodes)
-        g.add_edges_from(self.control_edges())
-        return not nx.is_directed_acyclic_graph(g)
+        return not is_acyclic(self._nodes, self._control_succ.__getitem__)
 
     # -- export ------------------------------------------------------------
 
@@ -292,7 +300,10 @@ class SyncGraph:
         """Directed graph with both edge kinds, tagged ``kind=`` attribute.
 
         Sync edges appear in both directions with ``kind="sync"``.
+        Needs the ``graph`` extra (networkx).
         """
+        import networkx as nx
+
         g = nx.DiGraph()
         for node in self._nodes:
             g.add_node(node, kind=node.kind, task=node.task)

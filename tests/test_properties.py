@@ -634,7 +634,7 @@ def test_theorem3_matches_dpll(seed):
 @FAST
 @given(small_programs())
 def test_matrix_orderings_equivalent(program):
-    from repro.analysis.orderings_matrix import compute_orderings_matrix
+    from tests.orderings_oracle import compute_orderings_matrix
 
     transformed, _ = remove_loops(program)
     graph = build_sync_graph(transformed)
