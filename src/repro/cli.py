@@ -30,6 +30,13 @@ Human-readable chatter — trace renders, progress, warnings — always
 goes to stderr in JSON mode, so ``repro-analyze f.adl --json | jq .``
 can never choke on interleaved text.  :func:`_chatter` is the single
 routing point enforcing this.
+
+Exit codes (also listed by ``--help``): 0 certified deadlock-free (lint:
+no diagnostic at ``--fail-on``), 1 possible or confirmed anomaly (lint:
+a diagnostic at ``--fail-on``), 2 usage, input or parse error, and
+:data:`EXIT_INTERNAL` (3) for an internal error — an exception that is
+not a :class:`~repro.errors.ReproError` is a bug in the checker, never
+a finding, so it must not exit 1.
 """
 
 from __future__ import annotations
@@ -51,7 +58,16 @@ from .syncgraph.clg import build_clg
 from .syncgraph.dot import clg_to_dot, sync_graph_to_dot
 from .waves.guide import validate_strategy
 
-__all__ = ["main", "build_arg_parser"]
+__all__ = ["EXIT_INTERNAL", "main", "build_arg_parser"]
+
+EXIT_INTERNAL = 3
+
+_EXIT_CODES = (
+    "exit status: 0 certified deadlock-free (--lint: no diagnostic at "
+    "--fail-on); 1 possible or confirmed anomaly (--lint: a diagnostic "
+    "at --fail-on; --batch: some program not certified); 2 usage, input "
+    "or parse error; 3 internal error in the checker."
+)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -61,6 +77,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "Static infinite-wait anomaly detection for Ada-like "
             "rendezvous programs (Masticola & Ryder, ICPP 1990)."
         ),
+        epilog=_EXIT_CODES,
     )
     parser.add_argument(
         "sources",
@@ -374,9 +391,6 @@ def _lint_main(args, source: str, source_path: str) -> int:
         repair = (
             _suggest_fixes(args, source) if args.suggest_fixes else None
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         # unknown rule name in --disable/--select
         print(f"error: {exc.args[0]}", file=sys.stderr)
@@ -435,7 +449,6 @@ def _lint_main(args, source: str, source_path: str) -> int:
 
 
 def _batch_main(args) -> int:
-    from .errors import ReproError as _ReproError
     from .farm.runner import collect_sources, run_batch
 
     session = obs.enable() if (args.trace or args.metrics_out) else None
@@ -453,9 +466,6 @@ def _batch_main(args) -> int:
             strategy=args.strategy,
             beam_width=args.beam_width,
         )
-    except _ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if session is not None:
             obs.disable()
@@ -489,6 +499,27 @@ def _batch_main(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the CLI; returns the exit code (see :data:`_EXIT_CODES`).
+
+    Every mode reports a :class:`~repro.errors.ReproError` (bad input)
+    or an ``OSError`` (an unreadable source, an unwritable output path)
+    here, as exit 2.  Any other exception is a crash: one stderr line
+    and :data:`EXIT_INTERNAL`, so it can never pass for a finding (1)
+    or a certificate (0).
+    """
+    try:
+        return _main(argv)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(
+            f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr
+        )
+        return EXIT_INTERNAL
+
+
+def _main(argv: Optional[List[str]]) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "serve":
         # The daemon has its own option surface; hand off before the
@@ -555,9 +586,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.suggest_fixes
             else None
         )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     finally:
         if session is not None:
             obs.disable()

@@ -20,6 +20,13 @@ Grammar (EBNF; ``[]`` optional, ``{}`` repeated, terminals quoted)::
 
 ``elsif`` chains desugar into nested :class:`~repro.lang.ast_nodes.If`
 nodes, so the AST only ever has two-way branches.
+
+Compound statements may nest at most :data:`MAX_NESTING` deep (each
+``elsif`` counts as one more level, since it becomes a nested ``If``).
+Deeper input raises :class:`~repro.errors.ParseError` at the statement
+that crosses the limit, so neither this recursive-descent parser nor the
+recursive passes after it (pretty-printing, inlining, CFG construction,
+validation) can exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -46,13 +53,17 @@ from .ast_nodes import (
 from .lexer import Token, TokenType, tokenize
 from .source import Span
 
-__all__ = ["parse_program", "parse_task_body"]
+__all__ = ["MAX_NESTING", "parse_program", "parse_task_body"]
+
+# Deepest accepted nesting of if/elsif/while/for bodies.
+MAX_NESTING = 100
 
 
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -89,6 +100,16 @@ class _Parser:
 
     def _expect_kw(self, kw: str) -> Token:
         return self._expect(TokenType.KEYWORD, kw)
+
+    def _descend(self, tok: Token) -> None:
+        """Enter one more level of statement nesting at ``tok``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"statements nested more than {MAX_NESTING} levels deep",
+                tok.line,
+                tok.column,
+            )
 
     def _span_from(self, start: Token) -> Span:
         """Span from ``start`` through the most recently consumed token."""
@@ -180,7 +201,12 @@ class _Parser:
                 raise ParseError(
                     f"unexpected keyword {tok.value!r}", tok.line, tok.column
                 )
+            compound = tok.value in ("if", "while", "for")
+            if compound:
+                self._descend(tok)
             stmt = handler()
+            if compound:
+                self._depth -= 1
         elif tok.type == TokenType.IDENT:
             stmt = self._parse_assign()
         else:
@@ -255,11 +281,15 @@ class _Parser:
         condition = self._parse_cond()
         self._expect_kw("then")
         then_body = self._parse_stmts()
-        if self._accept(TokenType.KEYWORD, "elsif"):
+        elsif = self._accept(TokenType.KEYWORD, "elsif")
+        if elsif is not None:
+            self._descend(elsif)
+            tail = self._parse_if_tail()
+            self._depth -= 1
             return If(
                 condition=condition,
                 then_body=tuple(then_body),
-                else_body=(self._parse_if_tail(),),
+                else_body=(tail,),
                 loc=self._span_from(start),
             )
         else_body: Tuple[Statement, ...] = ()

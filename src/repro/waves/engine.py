@@ -18,18 +18,28 @@ it
   integer (one bit-field per task) — the dedup set holds ints, the
   terminal test is one equality, and successor keys are computed by
   adding precomputed deltas;
-* precomputes, per *slot* (task × local position), the ready-partner
-  bitmask over all slots (who this node can rendezvous with, wherever
-  the partner task currently stands) and the control-successor table as
+* precomputes, per *slot* (task × local position), the ``partner_above``
+  bitmask — the slots of *higher-indexed* tasks this node can
+  rendezvous with — plus a ``lead_mask`` of the slots whose
+  ``partner_above`` is non-empty, and the control-successor table as
   ``(key_delta, occupancy_delta)`` pairs;
+* finds the ready rendezvous of a wave bit-parallel, from its occupancy
+  bitmask ``occ`` alone: walk the set bits of ``occ & lead_mask``
+  upward and, for each slot ``s``, the set bits of
+  ``partner_above[s] & occ`` upward.  Work is proportional to the
+  ready pairs found plus the occupied lead slots, not to the ``n²``
+  task pairs, and no per-state slot list is built.  Slots are numbered
+  task by task and every task occupies exactly one, so ascending slot
+  order is ascending task order — the pairs come out in the reference
+  ``(i, j)``, ``i < j`` order;
 * runs BFS kernels for exhaustive exploration and shortest-witness
   search that are **bit-exact** with the reference kernels: identical
   seeding order (the cross product of per-task initial options),
-  identical ready-pair order (``(i, j)`` with ``i < j``), identical
-  successor order (``graph.control_successors`` order), and therefore
-  identical ``visited_count``, ``can_terminate``, anomaly
-  classifications, and witness schedules — the hypothesis differential
-  tests in ``tests/test_engine.py`` enforce this.
+  identical ready-pair order, identical successor order
+  (``graph.control_successors`` order), and therefore identical
+  ``visited_count``, ``can_terminate``, anomaly classifications, and
+  witness schedules — the hypothesis differential tests in
+  ``tests/test_engine.py`` enforce this.
 
 Anomalous waves are rare relative to the space walked, so their
 classification is delegated to the reference
@@ -76,6 +86,11 @@ class WaveIndex:
     """
 
     def __init__(self, graph: SyncGraph) -> None:
+        with obs.span("engine.build", tasks=len(graph.tasks)) as sp:
+            self._build(graph)
+            sp.set_attribute("slots", self.slot_count)
+
+    def _build(self, graph: SyncGraph) -> None:
         self.graph = graph
         tasks = graph.tasks
         n = len(tasks)
@@ -110,11 +125,13 @@ class WaveIndex:
             e_local[i] << shift[i] for i in range(n)
         )
 
-        # Per-slot tables: rendezvous bit, ready partners (bitmask over
-        # slots of other tasks), successor (key_delta, occ_delta) pairs.
+        # Per-slot tables: rendezvous bit, ready partners in tasks of a
+        # higher index (the only ones the ready-pair step pairs a slot
+        # with), successor (key_delta, occ_delta) pairs.
         task_idx = {t: i for i, t in enumerate(tasks)}
         rdv_mask = 0
-        partner_mask: List[int] = [0] * self.slot_count
+        lead_mask = 0
+        partner_above: List[int] = [0] * self.slot_count
         succ_deltas: List[Tuple[Tuple[int, int], ...]] = (
             [()] * self.slot_count
         )
@@ -128,8 +145,11 @@ class WaveIndex:
                 pm = 0
                 for p in graph.sync_neighbors(node):
                     j = task_idx[p.task]
-                    pm |= 1 << (base[j] + local_maps[j][p])
-                partner_mask[slot] = pm
+                    if j > i:
+                        pm |= 1 << (base[j] + local_maps[j][p])
+                if pm:
+                    partner_above[slot] = pm
+                    lead_mask |= 1 << slot
                 succs = graph.control_successors(node)
                 if len(set(succs)) != len(succs):
                     # mirror wave._advance_options: hand-built graphs
@@ -146,8 +166,13 @@ class WaveIndex:
                     )
                 succ_deltas[slot] = tuple(deltas)
         self.rdv_mask = rdv_mask
-        self.partner_mask = partner_mask
+        self.lead_mask = lead_mask
+        self.partner_above = partner_above
         self.succ_deltas = succ_deltas
+        # Calls of the ready-pair step over this index's lifetime; the
+        # public search entry points publish the per-search delta as
+        # the ``engine.states_expanded`` counter.
+        self.states_expanded = 0
 
         # Initial options per task, as locals in graph order.
         self.initial_locals: List[Tuple[int, ...]] = []
@@ -168,19 +193,15 @@ class WaveIndex:
 
     # -- packing helpers ---------------------------------------------------
 
-    def _slots_of(self, key: int) -> List[int]:
-        shift = self.shift
-        mask = self.mask
-        base = self.slot_base
-        return [
-            base[i] + ((key >> shift[i]) & mask[i])
-            for i in range(self.task_count)
-        ]
-
     def unpack(self, key: int) -> Wave:
         """The reference :class:`Wave` this packed key denotes."""
         node_of = self.node_of_slot
-        return Wave(tuple(node_of[s] for s in self._slots_of(key)))
+        shift = self.shift
+        mask = self.mask
+        return Wave(tuple(
+            node_of[base + ((key >> shift[i]) & mask[i])]
+            for i, base in enumerate(self.slot_base)
+        ))
 
     def _seed(self) -> Iterator[Tuple[int, int]]:
         """Lazy ``(key, occ)`` stream over the initial cross product.
@@ -198,25 +219,31 @@ class WaveIndex:
                 occ |= 1 << (base[i] + l)
             yield key, occ
 
-    def _ready_pairs(self, slots: List[int], occ: int) -> List[Tuple[int, int]]:
-        """Task-index pairs ``(i, j)``, ``i < j``, that can rendezvous.
+    def _ready_slot_pairs(self, occ: int) -> List[Tuple[int, int]]:
+        """Slot pairs ``(s_a, s_b)`` that can rendezvous in the wave
+        whose occupancy bitmask is ``occ`` — the one ready-pair step
+        every kernel expands through.
 
-        Matches :func:`repro.waves.wave.ready_pairs` order exactly.
+        Walks the set bits of ``occ & lead_mask`` upward and, for each
+        such slot ``s_a``, the set bits of ``partner_above[s_a] & occ``
+        upward.  Slots are numbered task by task and each task occupies
+        exactly one slot, so ascending slot order is ascending task
+        order: the pairs come out in exactly the ``(i, j)``, ``i < j``
+        order of :func:`repro.waves.wave.ready_pairs`.
         """
+        self.states_expanded += 1
+        partner_above = self.partner_above
         pairs: List[Tuple[int, int]] = []
-        partner_mask = self.partner_mask
-        rdv = self.rdv_mask
-        n = self.task_count
-        for i in range(n):
-            s_i = slots[i]
-            if not (rdv >> s_i) & 1:
-                continue
-            m = partner_mask[s_i] & occ
-            if not m:
-                continue
-            for j in range(i + 1, n):
-                if (m >> slots[j]) & 1:
-                    pairs.append((i, j))
+        lead = occ & self.lead_mask
+        while lead:
+            low = lead & -lead
+            lead ^= low
+            s_a = low.bit_length() - 1
+            m = partner_above[s_a] & occ
+            while m:
+                low = m & -m
+                m ^= low
+                pairs.append((s_a, low.bit_length() - 1))
         return pairs
 
     # -- kernels -----------------------------------------------------------
@@ -234,6 +261,7 @@ class WaveIndex:
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         visited: set = set()
         queue: deque = deque()
         limited = False
@@ -255,17 +283,16 @@ class WaveIndex:
             if key == terminal:
                 can_terminate = True
                 continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
+            pairs = ready(occ)
             if not pairs:
                 if occ & rdv:
                     anomalous.append(classify_wave(graph, self.unpack(key)))
                 continue
             if limited:
                 continue  # budget spent: classify what we have, no growth
-            for i, j in pairs:
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
+            for s_a, s_b in pairs:
+                for kd_a, od_a in succ_deltas[s_a]:
+                    for kd_b, od_b in succ_deltas[s_b]:
                         nk = key + kd_a + kd_b
                         if nk in visited:
                             continue
@@ -296,8 +323,8 @@ class WaveIndex:
         graph = self.graph
         terminal = self.terminal_key
         rdv = self.rdv_mask
-        node_of = self.node_of_slot
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         # key -> (parent_key, (fired_slot_a, fired_slot_b)) | None
         parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
         queue: deque = deque()
@@ -314,42 +341,23 @@ class WaveIndex:
             key, occ = queue.popleft()
             if key == terminal:
                 continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
+            pairs = ready(occ)
             if not pairs:
                 if not occ & rdv:
                     continue
                 classification = classify_wave(graph, self.unpack(key))
                 if not matches(classification):
                     continue
-                schedule: List[Rendezvous] = []
-                chain: List[Wave] = [classification.wave]
-                cursor = key
-                while True:
-                    parent = parents[cursor]
-                    if parent is None:
-                        break
-                    cursor, (sa, sb) = parent
-                    schedule.append((node_of[sa], node_of[sb]))
-                    chain.append(self.unpack(cursor))
-                schedule.reverse()
-                chain.reverse()
                 return (
-                    (
-                        self.unpack(cursor),
-                        tuple(schedule),
-                        tuple(chain),
-                        classification,
-                    ),
+                    self._reconstruct(parents, key, classification),
                     len(parents),
                     limited,
                 )
             if limited:
                 continue
-            for i, j in pairs:
-                fired = (slots[i], slots[j])
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
+            for fired in pairs:
+                for kd_a, od_a in succ_deltas[fired[0]]:
+                    for kd_b, od_b in succ_deltas[fired[1]]:
                         nk = key + kd_a + kd_b
                         if nk in parents:
                             continue
@@ -391,6 +399,7 @@ class WaveIndex:
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         visited: set = set()
         heap: List[Tuple[int, int, int, int, int]] = []
         seq = 0
@@ -418,8 +427,7 @@ class WaveIndex:
             if key == terminal:
                 can_terminate = True
                 continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
+            pairs = ready(occ)
             if not pairs:
                 if occ & rdv:
                     anomalous.append(classify_wave(graph, self.unpack(key)))
@@ -427,9 +435,9 @@ class WaveIndex:
             if limited:
                 continue  # budget spent: classify what we have, no growth
             g1 = 1 - neg_g
-            for i, j in pairs:
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
+            for s_a, s_b in pairs:
+                for kd_a, od_a in succ_deltas[s_a]:
+                    for kd_b, od_b in succ_deltas[s_b]:
                         nk = key + kd_a + kd_b
                         if nk in visited:
                             dominated += 1
@@ -475,6 +483,7 @@ class WaveIndex:
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         visited: set = set()
         limited = False
         truncated = False
@@ -502,8 +511,7 @@ class WaveIndex:
                 if key == terminal:
                     can_terminate = True
                     continue
-                slots = self._slots_of(key)
-                pairs = self._ready_pairs(slots, occ)
+                pairs = ready(occ)
                 if not pairs:
                     if occ & rdv:
                         anomalous.append(
@@ -512,9 +520,9 @@ class WaveIndex:
                     continue
                 if limited:
                     continue
-                for i, j in pairs:
-                    for kd_a, od_a in succ_deltas[slots[i]]:
-                        for kd_b, od_b in succ_deltas[slots[j]]:
+                for s_a, s_b in pairs:
+                    for kd_a, od_a in succ_deltas[s_a]:
+                        for kd_b, od_b in succ_deltas[s_b]:
                             nk = key + kd_a + kd_b
                             if nk in visited:
                                 dominated += 1
@@ -584,6 +592,7 @@ class WaveIndex:
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         # key -> best known g; key -> (parent_key, fired) | None
         g_of: Dict[int, int] = {}
         parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
@@ -611,8 +620,7 @@ class WaveIndex:
             popped += 1
             if key == terminal:
                 continue
-            slots = self._slots_of(key)
-            pairs = self._ready_pairs(slots, occ)
+            pairs = ready(occ)
             if not pairs:
                 if not occ & rdv:
                     continue
@@ -631,10 +639,9 @@ class WaveIndex:
             if limited:
                 continue
             g1 = g + 1
-            for i, j in pairs:
-                fired = (slots[i], slots[j])
-                for kd_a, od_a in succ_deltas[slots[i]]:
-                    for kd_b, od_b in succ_deltas[slots[j]]:
+            for fired in pairs:
+                for kd_a, od_a in succ_deltas[fired[0]]:
+                    for kd_b, od_b in succ_deltas[fired[1]]:
                         nk = key + kd_a + kd_b
                         known = g_of.get(nk)
                         if known is not None:
@@ -692,6 +699,7 @@ class WaveIndex:
         terminal = self.terminal_key
         rdv = self.rdv_mask
         succ_deltas = self.succ_deltas
+        ready = self._ready_slot_pairs
         parents: Dict[int, Optional[Tuple[int, Tuple[int, int]]]] = {}
         limited = False
         truncated = False
@@ -716,8 +724,7 @@ class WaveIndex:
             for key, occ in layer:
                 if key == terminal:
                     continue
-                slots = self._slots_of(key)
-                pairs = self._ready_pairs(slots, occ)
+                pairs = ready(occ)
                 if not pairs:
                     if not occ & rdv:
                         continue
@@ -735,10 +742,9 @@ class WaveIndex:
                     )
                 if limited:
                     continue
-                for i, j in pairs:
-                    fired = (slots[i], slots[j])
-                    for kd_a, od_a in succ_deltas[slots[i]]:
-                        for kd_b, od_b in succ_deltas[slots[j]]:
+                for fired in pairs:
+                    for kd_a, od_a in succ_deltas[fired[0]]:
+                        for kd_b, od_b in succ_deltas[fired[1]]:
                             nk = key + kd_a + kd_b
                             if nk in parents or nk in pending:
                                 dominated += 1

@@ -171,6 +171,7 @@ def explore(
         if backend == "index":
             if engine is None:
                 engine = WaveIndex(graph)
+            expanded = engine.states_expanded
             if strategy == "bfs":
                 (
                     visited_count,
@@ -200,6 +201,9 @@ def explore(
                 ) = engine.explore_beam(
                     state_limit, guide_for(engine).estimate, effective_width
                 )
+            obs.counter("engine.states_expanded").inc(
+                engine.states_expanded - expanded
+            )
         else:
             (
                 visited_count,

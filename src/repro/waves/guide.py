@@ -472,6 +472,7 @@ def guide_for(engine: "WaveIndex") -> FutureCostTable:
     """
     guide = getattr(engine, "_fct_cache", None)
     if guide is None:
-        guide = FutureCostTable(engine)
+        with obs.span("guide.build"):
+            guide = FutureCostTable(engine)
         engine._fct_cache = guide
     return guide

@@ -175,6 +175,7 @@ def search_anomaly_witness(
         if backend == "index":
             if engine is None:
                 engine = WaveIndex(graph)
+            expanded = engine.states_expanded
             if strategy == "bfs":
                 data, states, limited = engine.find_witness(
                     matches, state_limit
@@ -199,6 +200,9 @@ def search_anomaly_witness(
                         )
                     )
                     limited = limited or truncated
+            obs.counter("engine.states_expanded").inc(
+                engine.states_expanded - expanded
+            )
         else:
             data, states, limited = _find_witness_reference(
                 graph, matches, state_limit

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import EXIT_INTERNAL, main
 from tests.conftest import CROSSED_SRC, HANDSHAKE_SRC
 
 
@@ -41,6 +41,38 @@ class TestExitCodes:
         bad.write_text("program ;")
         assert main([str(bad)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [[], ["--lint"]])
+    def test_internal_error_has_its_own_code(
+        self, crossed_file, monkeypatch, capsys, flags
+    ):
+        # A crash in a pass is a bug in the checker, not a finding: it
+        # must exit with neither 1 (anomaly) nor 0 (certified) nor 2.
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.cli.analyze", crash)
+        monkeypatch.setattr("repro.lint.lint_source", crash)
+        assert main([str(crossed_file), *flags]) == EXIT_INTERNAL
+        assert EXIT_INTERNAL not in (0, 1, 2)
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_unwritable_output_path_is_an_input_error(
+        self, handshake_file, tmp_path, capsys
+    ):
+        missing_dir = tmp_path / "missing" / "sync.dot"
+        assert main([str(handshake_file), "--dot", str(missing_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_help_documents_exit_codes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for code in ("0 certified", "1 possible", "2 usage",
+                     f"{EXIT_INTERNAL} internal error"):
+            assert code in out
 
 
 class TestOutput:

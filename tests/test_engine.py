@@ -40,10 +40,17 @@ from repro.waves.wave import (
     Wave,
     initial_waves,
     iter_initial_waves,
+    next_waves,
     next_waves_with_events,
+    ready_pairs,
 )
 from repro.waves.witness import find_anomaly_witness
-from repro.workloads.patterns import dining_philosophers
+from repro.workloads.patterns import (
+    barrier,
+    corridor,
+    dining_philosophers,
+    handshake_chain,
+)
 from tests.conftest import graph_of
 from tests.test_properties import FAST, small_programs
 
@@ -350,3 +357,110 @@ class TestWaveFixes:
     def test_iter_initial_waves_matches_initial_waves(self, crossed):
         graph = graph_of(crossed)
         assert list(iter_initial_waves(graph)) == initial_waves(graph)
+
+
+# --------------------------------------------------------------------------
+# the bit-parallel ready-pair step against the reference ready_pairs
+# --------------------------------------------------------------------------
+
+# The acceptor (server, task 0) is declared before its sender (client,
+# task 1): the client's two sends have ready partners only in a
+# lower-indexed task and never lead a pair, while its `accept ack` also
+# pairs with the relay (task 2) above it.
+ACCEPTOR_FIRST_SRC = """
+program acceptor_first;
+task server is begin accept req; send client.ack; accept bye; end;
+task client is begin send server.req; accept ack; send server.bye; end;
+task relay is begin if ? then send client.ack; else accept bye; end if; end;
+"""
+
+
+def _assert_step_matches_reference(graph, state_cap=20_000):
+    """On every wave reached from the seeds (up to ``state_cap``), the
+    engine's slot pairs, mapped back to task pairs, equal
+    :func:`ready_pairs` in order."""
+    engine = WaveIndex(graph)
+    slot_of = {}
+    task_of_slot = []
+    for i in range(engine.task_count):
+        end = (
+            engine.slot_base[i + 1]
+            if i + 1 < engine.task_count
+            else engine.slot_count
+        )
+        for slot in range(engine.slot_base[i], end):
+            slot_of[i, engine.node_of_slot[slot]] = slot
+            task_of_slot.append(i)
+    seen = set()
+    frontier = list(dict.fromkeys(initial_waves(graph)))
+    checked = 0
+    while frontier and checked < state_cap:
+        wave = frontier.pop()
+        if wave in seen:
+            continue
+        seen.add(wave)
+        checked += 1
+        slots = [slot_of[i, node] for i, node in enumerate(wave.positions)]
+        occ = sum(1 << slot for slot in slots)
+        key = sum(
+            (slot - engine.slot_base[i]) << engine.shift[i]
+            for i, slot in enumerate(slots)
+        )
+        assert engine.unpack(key) == wave
+        slot_pairs = engine._ready_slot_pairs(occ)
+        for s_a, s_b in slot_pairs:
+            assert s_a in slots and s_b in slots
+        task_pairs = [
+            (task_of_slot[s_a], task_of_slot[s_b]) for s_a, s_b in slot_pairs
+        ]
+        assert task_pairs == ready_pairs(graph, wave), wave
+        frontier.extend(next_waves(graph, wave))
+    assert checked > 0
+    return checked
+
+
+class TestReadyPairStep:
+    @FAST
+    @given(small_programs())
+    def test_matches_reference_on_random_programs(self, program):
+        _assert_step_matches_reference(graph_of(program))
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            dining_philosophers(3),
+            dining_philosophers(4, False),
+            barrier(3),
+            barrier(3, 2),
+            corridor(2, 2),
+            corridor(3, 1),
+            handshake_chain(3),
+            handshake_chain(3, 2),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_matches_reference_on_patterns(self, program):
+        _assert_step_matches_reference(graph_of(program))
+
+    def test_partners_only_in_lower_tasks(self):
+        graph = graph_of(parse_program(ACCEPTOR_FIRST_SRC))
+        engine = WaveIndex(graph)
+        client = graph.tasks.index("client")
+        lower_only = [
+            slot
+            for slot in range(engine.slot_base[client],
+                              engine.slot_base[client + 1])
+            if engine.node_of_slot[slot].is_rendezvous
+            and not engine.partner_above[slot]
+            and any(
+                graph.tasks.index(p.task) < client
+                for p in graph.sync_neighbors(engine.node_of_slot[slot])
+            )
+        ]
+        assert lower_only  # the case this program exists for
+        assert all(not (engine.lead_mask >> s) & 1 for s in lower_only)
+        _assert_step_matches_reference(graph)
+
+    def test_duplicated_control_successor(self):
+        graph, _, _ = TestWaveFixes._graph_with_duplicate_successors()
+        assert _assert_step_matches_reference(graph) == 2

@@ -213,6 +213,45 @@ class TestPipelineInstrumentation:
         names = {s.name for s in session.tracer.all_spans()}
         assert "witness.search" in names
 
+    def test_engine_and_guide_build_spans(self):
+        from repro.waves.engine import WaveIndex
+        from repro.waves.explore import explore
+        from repro.waves.witness import find_anomaly_witness
+        from repro.workloads.patterns import dining_philosophers
+        from tests.conftest import graph_of
+
+        graph = graph_of(dining_philosophers(4))
+        with obs.observed() as session:
+            engine = WaveIndex(graph)
+            result = explore(graph, engine=engine)
+            find_anomaly_witness(graph, engine=engine, strategy="astar")
+            find_anomaly_witness(graph, engine=engine, strategy="astar")
+        spans = list(session.tracer.all_spans())
+        builds = [s for s in spans if s.name == "engine.build"]
+        assert len(builds) == 1
+        assert builds[0].attributes["slots"] == engine.slot_count
+        # guide_for caches the table: one build for two guided searches
+        assert [s.name for s in spans].count("guide.build") == 1
+        # the exhaustive BFS runs the step on every state but the
+        # terminal one; the two witness searches add their own
+        assert result.can_terminate
+        bfs_expanded = result.visited_count - 1
+        expanded = session.registry.counter_value("engine.states_expanded")
+        assert expanded == engine.states_expanded
+        assert expanded > bfs_expanded
+
+    def test_states_expanded_counts_every_popped_state(self):
+        from repro.waves.explore import explore
+        from repro.workloads.patterns import barrier
+        from tests.conftest import graph_of
+
+        graph = graph_of(barrier(4))
+        with obs.observed() as session:
+            result = explore(graph)
+        assert session.registry.counter_value(
+            "engine.states_expanded"
+        ) == result.visited_count - (1 if result.can_terminate else 0)
+
     def test_interp_scheduler_steps(self, handshake):
         from repro.interp.runtime import sample_runs
 
