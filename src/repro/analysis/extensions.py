@@ -23,10 +23,11 @@ All four analyses run against a small marking/search engine with two
 interchangeable implementations: :class:`_IndexOps` (the default
 ``backend="index"``) drives the bitset kernels of
 :class:`~repro.analysis.index.AnalysisIndex` — one shared index, mark
-vectors memoized across the O(N²)–O(N^k) combination loops, rooted
-early-exit Tarjan — while :class:`_SetOps` (``backend="reference"``)
-keeps the original per-hypothesis set marking over hashed CLG nodes as
-the differential oracle.
+vectors memoized across the O(N²)–O(N^k) combination loops, each
+component found by rooted forward/backward bitset closures — while
+:class:`_SetOps` (``backend="reference"``) keeps the original
+per-hypothesis set marking over hashed CLG nodes as the differential
+oracle.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class _IndexOps:
                 return None
         # SCCs partition the pruned CLG, so the component of the first
         # required node is the only candidate containing all of them.
-        ids, _visited = self.index.cyclic_component_ids(
+        ids, _reached = self.index.cyclic_component_ids(
             required[0], no_sync, do_not_enter
         )
         if ids is None:

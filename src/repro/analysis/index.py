@@ -8,18 +8,18 @@ paper but leaves large constant factors on the table.  This module
 provides :class:`AnalysisIndex`: built once per sync graph, it
 
 * assigns dense integer ids to CLG nodes (``clg.node_index`` order) and
-  stores the CLG as CSR-style int adjacency arrays, split into sync
-  and non-sync (control/internal) edges — the only distinction the
-  NO-SYNC marking needs;
+  stores the CLG as per-node successor / predecessor int rows, split
+  into sync and non-sync (control/internal) edges — the only
+  distinction the NO-SYNC marking needs;
 * precomputes, per rendezvous node, the pruning mark vectors of the
   refined algorithm as int bitsets: SEQUENCEABLE-with (symmetric),
   same-task (constraint 1c), sync-partners (constraint 2), COACCEPT
   (Lemma 2) and NOT-COEXEC (constraint 3b);
-* runs an iterative Tarjan kernel rooted at the hypothesis node that
-  takes ``no_sync`` / ``do_not_enter`` exclusion bitsets directly and
-  early-exits as soon as the root's component is decided: nodes
-  unreachable from ``h_i`` are never visited, and components other
-  than ``h_i``'s are never materialized.
+* finds the hypothesis node's SCC in the pruned CLG as the
+  intersection of its forward and backward reach: two bitset closures
+  that take the ``no_sync`` / ``do_not_enter`` exclusion bitsets
+  directly.  Nodes unreachable from ``h_i`` are never visited, and
+  components other than ``h_i``'s are never materialized.
 
 Mark vectors are memoized per ``(head, use_coaccept)`` so the
 extension analyses stop recomputing them inside their O(N²)–O(N^k)
@@ -58,6 +58,38 @@ def _coaccept(graph: SyncGraph, node: SyncNode) -> Tuple[SyncNode, ...]:
 def _spread(row: int) -> int:
     """Move bit ``k`` of ``row`` to bit ``2k`` (string ops run in C)."""
     return int("0".join(bin(row)[2:]), 2) if row else 0
+
+
+def _closure(
+    root: int,
+    plain_rows: List[int],
+    sync_rows: List[int],
+    no_sync: int,
+    enter: int,
+    sync_enter: int,
+) -> int:
+    """Bitset of the nodes reachable from ``root`` (``root`` included).
+
+    A plain edge ``v -> w`` from ``plain_rows[v]`` is followed when
+    ``w`` is in ``enter``; a sync edge from ``sync_rows[v]`` only when
+    ``v`` is outside ``no_sync`` and ``w`` is in ``sync_enter``.  Each
+    round ORs the rows of the nodes found in the previous round, so
+    every node's rows are read once.
+    """
+    seen = frontier = 1 << root
+    while frontier:
+        plain = sync = 0
+        m = frontier
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            plain |= plain_rows[v]
+            if not low & no_sync:
+                sync |= sync_rows[v]
+        frontier = ((plain & enter) | (sync & sync_enter)) & ~seen
+        seen |= frontier
+    return seen
 
 
 class AnalysisIndex:
@@ -112,38 +144,27 @@ class AnalysisIndex:
         self.split_bits = in_bits | out_bits
         self.full_mask = (1 << n) - 1
 
-        # CSR adjacency, split by the only distinction pruning needs:
-        # sync edges (suppressible by NO-SYNC) vs control/internal.
-        plain_start = [0] * (n + 1)
-        sync_start = [0] * (n + 1)
-        plain_dst: List[int] = []
-        sync_dst: List[int] = []
-        succ_all = [0] * n
-        pred_all = [0] * n
+        # Successor / predecessor rows, split by the only distinction
+        # pruning needs: sync edges (suppressible by NO-SYNC) vs
+        # control/internal ("plain") edges.
+        plain_succ = [0] * n
+        plain_pred = [0] * n
         sync_succ = [0] * n
         sync_pred = [0] * n
         self_loops = 0
         for v, node in enumerate(nodes):
             for edge in clg.out_edges(node):
                 w = node_index[edge.dst]
-                succ_all[v] |= 1 << w
-                pred_all[w] |= 1 << v
                 if v == w:
                     self_loops |= 1 << v
                 if edge.kind == EdgeKind.SYNC:
-                    sync_dst.append(w)
                     sync_succ[v] |= 1 << w
                     sync_pred[w] |= 1 << v
                 else:
-                    plain_dst.append(w)
-            plain_start[v + 1] = len(plain_dst)
-            sync_start[v + 1] = len(sync_dst)
-        self.plain_start = plain_start
-        self.plain_dst = plain_dst
-        self.sync_start = sync_start
-        self.sync_dst = sync_dst
-        self.succ_all_bits = succ_all
-        self.pred_all_bits = pred_all
+                    plain_succ[v] |= 1 << w
+                    plain_pred[w] |= 1 << v
+        self.plain_succ_bits = plain_succ
+        self.plain_pred_bits = plain_pred
         self.sync_succ_bits = sync_succ
         self.sync_pred_bits = sync_pred
         self.self_loop_bits = self_loops
@@ -264,85 +285,49 @@ class AnalysisIndex:
     def cyclic_component_ids(
         self, root: int, no_sync: int, do_not_enter: int
     ) -> Tuple[Optional[List[int]], int]:
-        """Cyclic SCC of ``root`` in the pruned CLG, plus nodes visited.
+        """Cyclic SCC of ``root`` in the pruned CLG, plus nodes reached.
 
-        Iterative Tarjan rooted at ``root`` only: sync edges incident to
-        a ``no_sync`` endpoint and all edges incident to a
-        ``do_not_enter`` node are skipped via bit tests.  Early exit —
-        the DFS never leaves ``root``'s reachable set, components other
-        than ``root``'s pop unmaterialized, and the walk stops the
-        moment ``root``'s own component pops.  Returns ``(ids, visited)``
-        with ``ids`` None when the component is acyclic (singleton
-        without a self-loop); ``visited`` counts discovered nodes, the
-        quantity the early exit saves versus a full enumeration.
+        The pruned CLG drops every edge incident to a ``do_not_enter``
+        node and every sync edge with a ``no_sync`` endpoint.  In it,
+        ``root``'s SCC is the set of nodes that ``root`` reaches and
+        that reach ``root`` back, so two bitset closures find it: a
+        forward closure from ``root``, then a backward closure from
+        ``root`` restricted to the forward set.  Components other than
+        ``root``'s are never looked at.  Returns ``(ids, reached)``:
+        ``ids`` lists the component in ascending id order, or is None
+        when the component is acyclic (a singleton without a
+        self-loop); ``reached`` counts the forward set — the nodes a
+        rooted Tarjan walk would discover.
 
-        Callers must pre-check that ``root`` itself is not excluded.
+        Callers must pre-check that ``root`` itself is not in
+        ``do_not_enter``.
         """
-        plain_start = self.plain_start
-        plain_dst = self.plain_dst
-        sync_start = self.sync_start
-        sync_dst = self.sync_dst
-        excluded = do_not_enter
-        ns_or_dne = no_sync | do_not_enter
-
-        index: Dict[int, int] = {root: 0}
-        lowlink: Dict[int, int] = {root: 0}
-        on_stack = 1 << root
-        stack = [root]
-        counter = 1
-
-        def neighbors(v: int) -> List[int]:
-            out = [
-                w
-                for w in plain_dst[plain_start[v] : plain_start[v + 1]]
-                if not (excluded >> w) & 1
-            ]
-            if not (no_sync >> v) & 1:
-                out += [
-                    w
-                    for w in sync_dst[sync_start[v] : sync_start[v + 1]]
-                    if not (ns_or_dne >> w) & 1
-                ]
-            return out
-
-        work: List[Tuple[int, Iterable[int]]] = [
-            (root, iter(neighbors(root)))
-        ]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack |= 1 << w
-                    work.append((w, iter(neighbors(w))))
-                    advanced = True
-                    break
-                if (on_stack >> w) & 1 and index[w] < lowlink[v]:
-                    lowlink[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
-                if v == root:
-                    # The root is the first node discovered, hence the
-                    # root of its own SCC: everything still on the
-                    # Tarjan stack is the component.  Decided — stop.
-                    if len(stack) > 1 or (self.self_loop_bits >> root) & 1:
-                        return stack, len(index)
-                    return None, len(index)
-                member = stack.pop()
-                on_stack &= ~(1 << member)
-                while member != v:
-                    member = stack.pop()
-                    on_stack &= ~(1 << member)
-        return None, len(index)  # pragma: no cover - root always pops
+        forward = _closure(
+            root,
+            self.plain_succ_bits,
+            self.sync_succ_bits,
+            no_sync,
+            ~do_not_enter,
+            ~(no_sync | do_not_enter),
+        )
+        component = _closure(
+            root,
+            self.plain_pred_bits,
+            self.sync_pred_bits,
+            no_sync,
+            forward,
+            forward & ~no_sync,
+        )
+        reached = forward.bit_count()
+        if component == 1 << root and not (self.self_loop_bits >> root) & 1:
+            return None, reached
+        bits = bin(component)[:1:-1]
+        ids: List[int] = []
+        i = bits.find("1")
+        while i >= 0:
+            ids.append(i)
+            i = bits.find("1", i + 1)
+        return ids, reached
 
     # -- pruning-effectiveness counters ------------------------------------
 
@@ -384,8 +369,10 @@ class AnalysisIndex:
             "not_coexec_nodes", 0
         ) + dne.bit_count()
 
-        succ_all = self.succ_all_bits
-        pred_all = self.pred_all_bits
+        plain_succ = self.plain_succ_bits
+        plain_pred = self.plain_pred_bits
+        sync_succ = self.sync_succ_bits
+        sync_pred = self.sync_pred_bits
         nce = 0
         m = dne
         while m:
@@ -393,13 +380,11 @@ class AnalysisIndex:
             m &= m - 1
             # Out-edges of a removed node, plus in-edges from surviving
             # sources (counting each edge between two removed nodes once).
-            nce += succ_all[v].bit_count()
-            nce += (pred_all[v] & ~dne).bit_count()
+            nce += (plain_succ[v] | sync_succ[v]).bit_count()
+            nce += ((plain_pred[v] | sync_pred[v]) & ~dne).bit_count()
         if nce:
             counts["not_coexec_edges"] = counts.get("not_coexec_edges", 0) + nce
 
-        sync_succ = self.sync_succ_bits
-        sync_pred = self.sync_pred_bits
         src_claimed = claim["coaccept"] & self.out_bits
         src_count = 0
         m = src_claimed & ~dne

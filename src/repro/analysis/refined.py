@@ -296,7 +296,7 @@ def refined_deadlock_analysis(
     prune_counts: Optional[Dict[str, int]] = {} if observing else None
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
-    visited_total = 0
+    reached_total = 0
     with obs.span("refined.heads", heads=len(heads), backend=backend):
         if backend == "index":
             assert index is not None
@@ -312,10 +312,10 @@ def refined_deadlock_analysis(
                 h_id = index.in_id[head]
                 if ((do_not_enter | no_sync) >> h_id) & 1:
                     continue
-                ids, visited = index.cyclic_component_ids(
+                ids, reached = index.cyclic_component_ids(
                     h_id, no_sync, do_not_enter
                 )
-                visited_total += visited
+                reached_total += reached
                 if ids is not None:
                     evidence.append(
                         DeadlockEvidence(
@@ -353,7 +353,7 @@ def refined_deadlock_analysis(
         obs.counter("refined.scc_passes").inc(len(heads))
         obs.counter("refined.components_flagged").inc(len(evidence))
         if backend == "index":
-            obs.counter("refined.tarjan_nodes_visited").inc(visited_total)
+            obs.counter("refined.nodes_reached").inc(reached_total)
         assert prune_counts is not None
         for rule in PRUNE_RULES:
             obs.counter("refined.pruned_nodes", rule=rule).inc(

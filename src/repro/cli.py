@@ -46,7 +46,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import obs
 from .analysis.confirm import confirm_analysis
@@ -345,6 +345,37 @@ def _chatter(args, *values, **kwargs) -> None:
     print(*values, file=stream, **kwargs)
 
 
+def _emit(args, session, render: Callable[[Optional[dict]], str]) -> None:
+    """Print the report ``render(snapshot)`` builds, then the obs output.
+
+    With an obs session, ``snapshot`` is its metrics (folded into
+    ``--json`` payloads), rendering runs under a ``reporting.render``
+    span, and ``--metrics-out`` / ``--trace`` are written afterwards, so
+    they include that span; the folded-in snapshot cannot.  The session
+    is re-enabled only for the span: work between the analysis and the
+    output (dot and SARIF files) stays unrecorded.
+    """
+    if session is None:
+        print(render(None))
+        return
+    from .obs.export import session_to_dict, session_to_prometheus
+
+    snapshot = session_to_dict(session)
+    with obs.observed(session), obs.span("reporting.render"):
+        text = render(snapshot)
+    if args.metrics_out:
+        out = Path(args.metrics_out)
+        if out.suffix.lower() == ".prom":
+            out.write_text(session_to_prometheus(session))
+        else:
+            out.write_text(
+                json.dumps(session_to_dict(session), indent=2) + "\n"
+            )
+    print(text)
+    if args.trace:
+        _chatter(args, session.tracer.render())
+
+
 def _split_rules(spec: str) -> List[str]:
     return [token.strip() for token in spec.split(",") if token.strip()]
 
@@ -414,19 +445,10 @@ def _lint_main(args, source: str, source_path: str) -> int:
         doc = sarif_report([result], repairs=repairs)
         Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    if args.json:
+    def render(snapshot: Optional[dict]) -> str:
+        if not args.json:
+            text = render_text(result)
+            return text if repair is None else text + "\n" + repair.describe()
         payload = lint_to_dict(result)
         if repair is not None:
             from .lang.parser import parse_program
@@ -437,13 +459,9 @@ def _lint_main(args, source: str, source_path: str) -> int:
             )
         if snapshot is not None:
             payload["metrics"] = snapshot
-        print(render_json(payload))
-    else:
-        print(render_text(result))
-        if repair is not None:
-            print(repair.describe())
-    if args.trace and session is not None:
-        _chatter(args, session.tracer.render())
+        return render_json(payload)
+
+    _emit(args, session, render)
 
     return 1 if result.fails(args.fail_on) else 0
 
@@ -473,27 +491,15 @@ def _batch_main(args) -> int:
     if args.jsonl_out:
         Path(args.jsonl_out).write_text(report.to_jsonl())
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    if args.json:
+    def render(snapshot: Optional[dict]) -> str:
+        if not args.json:
+            return report.describe()
         payload = report.to_dict()
         if snapshot is not None:
             payload["metrics"] = snapshot
-        print(render_json(payload))
-    else:
-        print(report.describe())
-    if args.trace and session is not None:
-        _chatter(args, session.tracer.render())
+        return render_json(payload)
+
+    _emit(args, session, render)
 
     return 0 if report.deadlock_free else 1
 
@@ -611,49 +617,35 @@ def _main(argv: Optional[List[str]]) -> int:
         doc = sarif_report([lint_result], repairs=repairs)
         Path(args.sarif).write_text(json.dumps(doc, indent=2) + "\n")
 
-    snapshot = None
-    if session is not None:
-        from .obs.export import session_to_dict, session_to_prometheus
-
-        snapshot = session_to_dict(session)
-        if args.metrics_out:
-            out = Path(args.metrics_out)
-            if out.suffix.lower() == ".prom":
-                out.write_text(session_to_prometheus(session))
-            else:
-                out.write_text(json.dumps(snapshot, indent=2) + "\n")
-
-    if args.json:
-        print(
-            _report_json(
+    def render(snapshot: Optional[dict]) -> str:
+        if args.json:
+            return _report_json(
                 result, simulation, confirmation, args.stats, snapshot,
                 repair,
             )
-        )
-    else:
-        print(result.describe())
+        lines = [result.describe()]
         if args.stats:
             from .syncgraph.metrics import compute_metrics
 
-            print(compute_metrics(result.sync_graph).describe())
+            lines.append(compute_metrics(result.sync_graph).describe())
         if simulation is not None:
-            print(f"simulation: {simulation.describe()}")
+            lines.append(f"simulation: {simulation.describe()}")
         if confirmation is not None:
-            print(f"confirmation: {confirmation.outcome}")
+            lines.append(f"confirmation: {confirmation.outcome}")
             if confirmation.witness is not None:
-                print(confirmation.witness.describe())
+                lines.append(confirmation.witness.describe())
         if repair is not None:
             from .repair import unified_fix_diff
 
-            print(repair.describe())
+            lines.append(repair.describe())
             for fix in repair.fixes:
-                print()
                 diff = unified_fix_diff(
                     result.program, fix, path=source_path
                 )
-                print(diff, end="" if diff.endswith("\n") else "\n")
-    if args.trace and session is not None:
-        _chatter(args, session.tracer.render())
+                lines += ["", diff.removesuffix("\n")]
+        return "\n".join(lines)
+
+    _emit(args, session, render)
 
     certified = (
         confirmation.final_verdict == "certified-deadlock-free"

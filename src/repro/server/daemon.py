@@ -476,8 +476,10 @@ class AnalysisServer:
     # -- stdio loop ------------------------------------------------------
 
     def _write(self, out: TextIO, obj: Dict[str, Any]) -> None:
+        with obs.span("reporting.render"):
+            line = dumps(obj) + "\n"
         with self._write_lock:
-            out.write(dumps(obj) + "\n")
+            out.write(line)
             out.flush()
 
     def serve(

@@ -41,6 +41,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
+from .. import obs
 from .daemon import AnalysisServer, _SignalStop
 from .protocol import ProtocolError, decode_request, dumps, error_response
 from .scheduler import DEFAULT_CLIENT
@@ -75,7 +76,8 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = dumps(payload).encode("utf-8")
+        with obs.span("reporting.render"):
+            body = dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

@@ -91,6 +91,12 @@ def _spans_overlap(a, b) -> bool:
     return a_start < b_end and b_start < a_end
 
 
+def _render(result: AnalysisResult, repair=None) -> Dict[str, Any]:
+    """The CLI ``--json`` payload of ``result``, under ``reporting.render``."""
+    with obs.span("reporting.render"):
+        return analysis_result_to_dict(result, repair=repair)
+
+
 class _Range:
     """One edited region from ``didChange`` params (duck-typed Span)."""
 
@@ -526,7 +532,7 @@ class Session:
             if self.store is not None:
                 result = self.store.get(key)
                 if result is not None:
-                    payload = analysis_result_to_dict(result)
+                    payload = _render(result)
                     self.lru.put(key, (result, payload))
                     self._count("store_hits", "server.store_hits")
                     return result, payload, "store"
@@ -578,7 +584,7 @@ class Session:
                     strategy=strategy,
                     beam_width=beam_width,
                 )
-            payload = analysis_result_to_dict(result)
+            payload = _render(result)
             self.lru.put(key, (result, payload))
             if self.store is not None:
                 self.store.put(key, result)
@@ -700,7 +706,9 @@ class Session:
                 doc._lint_cache[key] = result
                 self._count("lint_runs", "server.lint_runs")
             sarif_doc = sarif_report([result]) if sarif else None
-            return lint_to_dict(result), sarif_doc, cache
+            with obs.span("reporting.render"):
+                payload = lint_to_dict(result)
+            return payload, sarif_doc, cache
 
     # -- repair ----------------------------------------------------------
 
@@ -758,7 +766,7 @@ class Session:
             # Re-render through the same reporting entry point the CLI
             # uses so the repair-bearing payload is byte-identical to
             # ``--suggest-fixes --json``.
-            full = analysis_result_to_dict(result, repair=report)
+            full = _render(result, repair=report)
             self.lru.put(repair_key, (report, full))
             self._count("repairs", "server.repairs")
             return full, cache

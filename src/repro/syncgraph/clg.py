@@ -102,10 +102,14 @@ class CLG:
         return r_i, r_o
 
     def add_edge(self, src: CLGNode, dst: CLGNode, kind: str) -> None:
+        """Append one edge; the caller never inserts the same edge twice.
+
+        The construction rules map each distinct sync-graph edge to a
+        distinct CLG edge, so ``build_clg`` needs no duplicate check.
+        """
         edge = CLGEdge(src, dst, kind)
-        if edge not in self._succ[src]:
-            self._succ[src].append(edge)
-            self._pred[dst].append(edge)
+        self._succ[src].append(edge)
+        self._pred[dst].append(edge)
 
     # -- mapping -----------------------------------------------------------
 

@@ -1,11 +1,16 @@
 """Cycle location graph tests (paper, Section 3.1)."""
 
 import pytest
+from hypothesis import given
 
+from repro.api import prepare
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
 from repro.syncgraph.clg import EdgeKind, build_clg
 from repro.syncgraph.dot import clg_to_dot
+from repro.workloads.adl_corpus import adl_corpus, repair_corpus
+from tests.conftest import graph_of
+from tests.test_properties import FAST, small_programs
 
 
 def clg_for(src):
@@ -57,6 +62,34 @@ class TestConstructionRules:
         n_ctrl = sum(1 for _ in sg.control_edges())
         n_sync = len(list(sg.sync_edges()))
         assert clg.edge_count == n_rdv + n_ctrl + 2 * n_sync
+
+
+def _assert_edges_distinct(sg):
+    """``add_edge`` keeps no duplicate check: the six rules must map each
+    distinct sync-graph edge to a distinct CLG edge."""
+    clg = build_clg(sg)
+    n_rdv = len(sg.rendezvous_nodes)
+    n_ctrl = sum(1 for _ in sg.control_edges())
+    n_sync = len(list(sg.sync_edges()))
+    assert clg.edge_count == len(set(clg.edges()))
+    assert clg.edge_count == n_rdv + n_ctrl + 2 * n_sync
+
+
+class TestEdgesDistinct:
+    @FAST
+    @given(small_programs())
+    def test_random_programs(self, program):
+        _assert_edges_distinct(build_sync_graph(program))
+        _assert_edges_distinct(graph_of(program))
+
+    def test_corpora(self, corpus):
+        programs = [entry.program for entry in corpus.values()]
+        programs += [entry.program for entry in adl_corpus().values()]
+        programs += [entry.program for entry in repair_corpus().values()]
+        for program in programs:
+            prep = prepare(program)
+            _assert_edges_distinct(prep.sync_graph)
+            _assert_edges_distinct(build_sync_graph(prep.inlined))
 
 
 class TestCycleDetection:

@@ -5,7 +5,8 @@ observationally indistinguishable from the ``backend="reference"``
 oracle — same verdicts, same evidence components, same stats (down to
 the per-rule pruning counters).  Hypothesis drives both backends over
 random programs; the bundled paper corpus pins the real workloads.
-Also covers the early-exit property of the rooted Tarjan kernel and
+Also covers the rooted component kernel (its early exit, and its
+component and reach count under arbitrary exclusion masks) and
 the satellite behaviors added alongside it (``sequenceable_with``
 memoization, the ``compute_orderings`` convergence warning).
 """
@@ -16,6 +17,7 @@ import warnings
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis.constraint4 import constraint4_deadlock_analysis
@@ -34,7 +36,13 @@ from repro.analysis.refined import (
 )
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
+from repro.syncgraph.clg import EdgeKind
 from repro.transforms.unroll import remove_loops
+from repro.workloads.patterns import (
+    dining_philosophers,
+    handshake_chain,
+    pipeline,
+)
 from tests.conftest import graph_of
 from tests.test_properties import FAST, small_programs
 
@@ -173,6 +181,93 @@ class TestEarlyExitTarjan:
                 node_index = index.clg.node_index
                 assert ids is not None
                 assert sorted(node_index[n] for n in reference) == sorted(ids)
+
+
+def _pruned_clg_filters(index, no_sync, do_not_enter):
+    """``(edge_ok, node_ok)`` for ``clg.cyclic_components``: the pruned
+    CLG the kernel searches, written out edge by edge."""
+    node_index = index.clg.node_index
+
+    def node_ok(node):
+        return not (do_not_enter >> node_index[node]) & 1
+
+    def edge_ok(edge):
+        if edge.kind != EdgeKind.SYNC:
+            return True
+        ends = (1 << node_index[edge.src]) | (1 << node_index[edge.dst])
+        return not ends & no_sync
+
+    return edge_ok, node_ok
+
+
+def _forward_reach(index, root, edge_ok, node_ok):
+    """Plain-set BFS: CLG ids reachable from ``root`` in the pruned CLG."""
+    clg = index.clg
+    node_index = clg.node_index
+    nodes = clg.nodes
+    seen = {root}
+    queue = [root]
+    while queue:
+        v = queue.pop()
+        for edge in clg.out_edges(nodes[v]):
+            w = node_index[edge.dst]
+            if w not in seen and node_ok(edge.dst) and edge_ok(edge):
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _check_kernel_against_oracles(index, data):
+    """Draw a root and arbitrary NO-SYNC / DO-NOT-ENTER bitsets (not
+    only head marks) and compare the kernel with the reference SCC
+    enumeration and a plain BFS."""
+    n = index.node_count
+    root = data.draw(st.integers(0, n - 1), label="root")
+    ids_of = st.frozensets(st.integers(0, n - 1), max_size=n)
+    no_sync = sum(1 << i for i in data.draw(ids_of, label="no_sync"))
+    do_not_enter = sum(
+        1 << i for i in data.draw(ids_of, label="do_not_enter")
+    ) & ~(1 << root)
+    ids, reached = index.cyclic_component_ids(root, no_sync, do_not_enter)
+
+    edge_ok, node_ok = _pruned_clg_filters(index, no_sync, do_not_enter)
+    root_node = index.clg.nodes[root]
+    expected = next(
+        (
+            comp
+            for comp in index.clg.cyclic_components(edge_ok, node_ok)
+            if root_node in comp
+        ),
+        None,
+    )
+    if expected is None:
+        assert ids is None
+    else:
+        node_index = index.clg.node_index
+        assert ids == sorted(node_index[node] for node in expected)
+    assert reached == len(_forward_reach(index, root, edge_ok, node_ok))
+
+
+_KERNEL_PATTERNS = {
+    "dining": dining_philosophers(3),
+    "handshake_chain": handshake_chain(3, 2),
+    "pipeline": pipeline(3, 2),
+}
+
+
+class TestClosureKernel:
+    """``cyclic_component_ids`` under arbitrary exclusion masks."""
+
+    @FAST
+    @given(small_programs(), st.data())
+    def test_random_programs(self, program, data):
+        _check_kernel_against_oracles(AnalysisIndex(graph_of(program)), data)
+
+    @FAST
+    @given(st.sampled_from(sorted(_KERNEL_PATTERNS)), st.data())
+    def test_patterns(self, name, data):
+        graph = graph_of(_KERNEL_PATTERNS[name])
+        _check_kernel_against_oracles(AnalysisIndex(graph), data)
 
 
 class TestSatelliteBehaviors:

@@ -273,6 +273,97 @@ class TestPipelineInstrumentation:
         )
 
 
+class TestHeadLoopAndRendering:
+    def test_nodes_reached_sums_forward_reach_per_head(self):
+        """``refined.nodes_reached``: per examined head, the nodes ``h_i``
+        reaches in its pruned CLG (oracle: a plain-set BFS)."""
+        from repro.analysis.index import AnalysisIndex
+        from repro.analysis.refined import possible_heads
+        from repro.api import prepare
+        from repro.workloads.adl_corpus import load_adl
+        from tests.test_index import _forward_reach, _pruned_clg_filters
+
+        source = load_adl("atm_deadlock")
+        with obs.observed() as session:
+            repro.analyze(source)
+        graph = prepare(source).sync_graph
+        index = AnalysisIndex(graph)
+        expected = 0
+        for head in possible_heads(graph):
+            no_sync, do_not_enter = index.head_marks(head)
+            root = index.in_id[head]
+            if ((no_sync | do_not_enter) >> root) & 1:
+                continue
+            edge_ok, node_ok = _pruned_clg_filters(
+                index, no_sync, do_not_enter
+            )
+            expected += len(_forward_reach(index, root, edge_ok, node_ok))
+        reached = session.registry.counter_value("refined.nodes_reached")
+        assert reached == expected
+        assert reached > session.registry.counter_value(
+            "refined.heads_examined"
+        )
+
+    def test_cli_json_run_emits_render_span(self, tmp_path, capsys):
+        from repro.cli import main
+
+        program = tmp_path / "pruner.adl"
+        program.write_text(PRUNING_SRC)
+        metrics = tmp_path / "m.json"
+        main([str(program), "--json", "--metrics-out", str(metrics)])
+        json.loads(capsys.readouterr().out)
+        snapshot = json.loads(metrics.read_text())
+        roots = [span["name"] for span in snapshot["spans"]]
+        assert roots.count("reporting.render") == 1
+        assert snapshot["span_seconds"]["reporting.render"] > 0
+
+    def test_daemon_reply_emits_render_span(self):
+        import io
+
+        from repro.server import AnalysisServer, Session
+
+        request = {
+            "id": 1,
+            "method": "analyze",
+            "params": {"uri": "mem:p", "text": PRUNING_SRC},
+        }
+        server = AnalysisServer(session=Session(store=None))
+        out = io.StringIO()
+        with obs.observed() as session:
+            server.serve(
+                stdin=io.StringIO(json.dumps(request) + "\n"),
+                stdout=out,
+                install_signal_handlers=False,
+            )
+        assert json.loads(out.getvalue())["result"]["cache"] == "computed"
+        names = [s.name for s in session.tracer.all_spans()]
+        # the payload build and the reply line
+        assert names.count("reporting.render") == 2
+
+
+class TestNoUnaccountedTime:
+    @pytest.mark.parametrize("algorithm", ["refined", "head-pairs", "exact"])
+    def test_analyze_children_cover_its_wall_time(self, algorithm):
+        """Over the bundled ADL corpus, the direct children of the
+        ``analyze`` spans account for >= 95% of their summed wall time."""
+        from repro.workloads.adl_corpus import adl_corpus
+
+        corpus = adl_corpus()
+        with obs.observed() as session:
+            # A few passes, so one scheduler hiccup between two child
+            # spans cannot decide the ratio.
+            for _ in range(5):
+                for entry in corpus.values():
+                    repro.analyze(entry.source, algorithm=algorithm)
+        total = covered = 0.0
+        for span in session.tracer.all_spans():
+            if span.name == "analyze":
+                total += span.duration_s
+                covered += sum(child.duration_s for child in span.children)
+        assert total > 0
+        assert covered >= 0.95 * total, f"{covered / total:.3f}"
+
+
 class TestExporters:
     def test_json_schema_stability(self):
         with obs.observed() as session:
