@@ -15,11 +15,16 @@ provides :class:`AnalysisIndex`: built once per sync graph, it
   refined algorithm as int bitsets: SEQUENCEABLE-with (symmetric),
   same-task (constraint 1c), sync-partners (constraint 2), COACCEPT
   (Lemma 2) and NOT-COEXEC (constraint 3b);
+* records, per CLG node, its cyclic SCC in the unpruned CLG
+  (``scc_bits``; 0 for a node on no cycle), from the same
+  :meth:`CLG.cyclic_components` the naive algorithm uses;
 * finds the hypothesis node's SCC in the pruned CLG as the
   intersection of its forward and backward reach: two bitset closures
   that take the ``no_sync`` / ``do_not_enter`` exclusion bitsets
-  directly.  Nodes unreachable from ``h_i`` are never visited, and
-  components other than ``h_i``'s are never materialized.
+  directly and never leave the node's unpruned SCC.  A head on no
+  cycle of the whole CLG is answered without a closure, nodes outside
+  ``h_i``'s unpruned SCC are never visited, and components other than
+  ``h_i``'s are never materialized.
 
 Mark vectors are memoized per ``(head, use_coaccept)`` so the
 extension analyses stop recomputing them inside their O(N²)–O(N^k)
@@ -169,6 +174,18 @@ class AnalysisIndex:
         self.sync_pred_bits = sync_pred
         self.self_loop_bits = self_loops
 
+        # Pruning only deletes nodes and edges, so a node's SCC in a
+        # pruned CLG lies inside its SCC of the whole CLG.  A node on no
+        # cycle of the whole CLG (scc_bits 0) is on none after pruning.
+        scc_bits = [0] * n
+        for component in clg.cyclic_components():
+            m = 0
+            for node in component:
+                m |= 1 << node_index[node]
+            for node in component:
+                scc_bits[node_index[node]] = m
+        self.scc_bits = scc_bits
+
         # Per-head pruning mark vectors (in-node side unless noted).
         seq_bits: Dict[SyncNode, int] = {}
         same_task_bits: Dict[SyncNode, int] = {}
@@ -293,22 +310,34 @@ class AnalysisIndex:
         that reach ``root`` back, so two bitset closures find it: a
         forward closure from ``root``, then a backward closure from
         ``root`` restricted to the forward set.  Components other than
-        ``root``'s are never looked at.  Returns ``(ids, reached)``:
-        ``ids`` lists the component in ascending id order, or is None
-        when the component is acyclic (a singleton without a
-        self-loop); ``reached`` counts the forward set — the nodes a
-        rooted Tarjan walk would discover.
+        ``root``'s are never looked at.
+
+        Both closures stay inside ``scc_bits[root]``, ``root``'s SCC in
+        the unpruned CLG: a path between two nodes of the pruned
+        component is a cycle through ``root`` of the unpruned CLG, so it
+        never leaves that SCC.  A ``root`` on no unpruned cycle is
+        answered without any closure.
+
+        Returns ``(ids, reached)``: ``ids`` lists the component in
+        ascending id order, or is None when the component is acyclic
+        (a singleton without a self-loop); ``reached`` counts the
+        forward set — ``root``'s forward reach inside its unpruned SCC,
+        and 0 when no closure ran.
 
         Callers must pre-check that ``root`` itself is not in
         ``do_not_enter``.
         """
+        scc = self.scc_bits[root]
+        if not scc:
+            return None, 0
+        enter = scc & ~do_not_enter
         forward = _closure(
             root,
             self.plain_succ_bits,
             self.sync_succ_bits,
             no_sync,
-            ~do_not_enter,
-            ~(no_sync | do_not_enter),
+            enter,
+            enter & ~no_sync,
         )
         component = _closure(
             root,

@@ -297,6 +297,7 @@ def refined_deadlock_analysis(
     heads = possible_heads(graph)
     evidence: List[DeadlockEvidence] = []
     reached_total = 0
+    off_cycle = 0
     with obs.span("refined.heads", heads=len(heads), backend=backend):
         if backend == "index":
             assert index is not None
@@ -316,6 +317,8 @@ def refined_deadlock_analysis(
                     h_id, no_sync, do_not_enter
                 )
                 reached_total += reached
+                if not reached:  # h_i on no CLG cycle: no closure ran
+                    off_cycle += 1
                 if ids is not None:
                     evidence.append(
                         DeadlockEvidence(
@@ -354,6 +357,7 @@ def refined_deadlock_analysis(
         obs.counter("refined.components_flagged").inc(len(evidence))
         if backend == "index":
             obs.counter("refined.nodes_reached").inc(reached_total)
+            obs.counter("refined.heads_off_cycle").inc(off_cycle)
         assert prune_counts is not None
         for rule in PRUNE_RULES:
             obs.counter("refined.pruned_nodes", rule=rule).inc(

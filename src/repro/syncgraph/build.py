@@ -85,15 +85,18 @@ def _rendezvous_frontier(cfg: TaskCFG, start: CFGNode) -> tuple[Set[CFGNode], bo
 def _add_task_control_edges(
     sg: SyncGraph, cfg: TaskCFG, node_map: Dict[CFGNode, SyncNode]
 ) -> None:
+    # Each frontier is a set and each rendezvous node is visited once,
+    # so no edge is derived twice; only the shared (b, e) edge of
+    # skippable tasks needs the checked insert.
     frontier, skips = _rendezvous_frontier(cfg, cfg.entry)
     for cfg_node in frontier:
-        sg.add_control_edge(sg.b, node_map[cfg_node])
+        sg.append_control_edge(sg.b, node_map[cfg_node])
     if skips:
         sg.mark_task_skippable(cfg.task)
     for cfg_node in cfg.rendezvous_nodes:
         src = node_map[cfg_node]
         nxt, reaches_exit = _rendezvous_frontier(cfg, cfg_node)
         for dst_cfg in nxt:
-            sg.add_control_edge(src, node_map[dst_cfg])
+            sg.append_control_edge(src, node_map[dst_cfg])
         if reaches_exit:
-            sg.add_control_edge(src, sg.e)
+            sg.append_control_edge(src, sg.e)

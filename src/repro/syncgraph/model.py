@@ -59,6 +59,12 @@ class SyncNode:
     label: str = ""
     cfg_node: Optional[CFGNode] = field(default=None, compare=False, repr=False)
 
+    def __hash__(self) -> int:
+        # Equal nodes have equal uids, so this is a valid hash; it skips
+        # hashing the field tuple (and the Signal inside it) on every
+        # dict and set operation.  ``__eq__`` still compares the fields.
+        return self.uid
+
     @property
     def is_rendezvous(self) -> bool:
         return self.kind in ("send", "accept")
@@ -116,6 +122,7 @@ class SyncGraph:
         self._by_task: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
         self._initial: Dict[str, List[SyncNode]] = {t: [] for t in tasks}
         self._by_signal: Dict[Tuple[Signal, str], List[SyncNode]] = {}
+        self._has_cycle: Optional[bool] = None
 
     # -- construction ----------------------------------------------------
 
@@ -159,13 +166,22 @@ class SyncGraph:
         return node
 
     def add_control_edge(self, src: SyncNode, dst: SyncNode) -> None:
+        """Insert one control edge unless it is already present."""
         if dst not in self._control_succ[src]:
-            self._control_succ[src].append(dst)
-            self._control_pred[dst].append(src)
-        if src is self.b:
-            task = dst.task if dst.is_rendezvous else None
-            if task is not None and dst not in self._initial[task]:
-                self._initial[task].append(dst)
+            self.append_control_edge(src, dst)
+
+    def append_control_edge(self, src: SyncNode, dst: SyncNode) -> None:
+        """Append one control edge; the caller never inserts it twice.
+
+        :func:`~repro.syncgraph.build.build_sync_graph` derives each
+        edge once, so it skips the duplicate check of
+        :meth:`add_control_edge`, a scan of ``src``'s successor list.
+        """
+        self._control_succ[src].append(dst)
+        self._control_pred[dst].append(src)
+        self._has_cycle = None
+        if src is self.b and dst.is_rendezvous:
+            self._initial[dst.task].append(dst)
 
     def mark_task_skippable(self, task: str) -> None:
         """Record a rendezvous-free entry→exit path in ``task``.
@@ -292,7 +308,12 @@ class SyncGraph:
         return src is dst or dst in self.control_descendants(src)
 
     def has_control_cycle(self) -> bool:
-        return not is_acyclic(self._nodes, self._control_succ.__getitem__)
+        """True iff ``E_C`` has a cycle (memoized until the next edge)."""
+        if self._has_cycle is None:
+            self._has_cycle = not is_acyclic(
+                self._nodes, self._control_succ.__getitem__
+            )
+        return self._has_cycle
 
     # -- export ------------------------------------------------------------
 

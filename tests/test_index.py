@@ -5,8 +5,9 @@ observationally indistinguishable from the ``backend="reference"``
 oracle — same verdicts, same evidence components, same stats (down to
 the per-rule pruning counters).  Hypothesis drives both backends over
 random programs; the bundled paper corpus pins the real workloads.
-Also covers the rooted component kernel (its early exit, and its
-component and reach count under arbitrary exclusion masks) and
+Also covers the rooted component kernel (its early exit, its
+component and reach count under arbitrary exclusion masks, and the
+unpruned-SCC rows that confine it) and
 the satellite behaviors added alongside it (``sequenceable_with``
 memoization, the ``compute_orderings`` convergence warning).
 """
@@ -245,7 +246,50 @@ def _check_kernel_against_oracles(index, data):
     else:
         node_index = index.clg.node_index
         assert ids == sorted(node_index[node] for node in expected)
-    assert reached == len(_forward_reach(index, root, edge_ok, node_ok))
+    assert reached == _restricted_reach(index, root, no_sync, do_not_enter)
+
+
+def _unpruned_cycle(index, root):
+    """``root``'s cyclic SCC of the whole CLG, or None."""
+    root_node = index.clg.nodes[root]
+    return next(
+        (comp for comp in index.clg.cyclic_components() if root_node in comp),
+        None,
+    )
+
+
+def _restricted_reach(index, root, no_sync, do_not_enter):
+    """What the kernel's ``reached`` counts: ``root``'s forward reach in
+    the pruned CLG, restricted to its cyclic SCC of the unpruned CLG;
+    0 when ``root`` is on no cycle of the unpruned CLG."""
+    unpruned = _unpruned_cycle(index, root)
+    if unpruned is None:
+        return 0
+    edge_ok, node_ok = _pruned_clg_filters(index, no_sync, do_not_enter)
+    return len(
+        _forward_reach(
+            index, root, edge_ok, lambda node: node in unpruned and node_ok(node)
+        )
+    )
+
+
+def _check_scc_bits(index):
+    """``scc_bits`` row per node = its cyclic SCC of the unpruned CLG as
+    ``clg.cyclic_components`` enumerates it; the unpruned kernel returns
+    exactly that row."""
+    node_index = index.clg.node_index
+    expected = [0] * index.node_count
+    for comp in index.clg.cyclic_components():
+        row = sum(1 << node_index[node] for node in comp)
+        for node in comp:
+            expected[node_index[node]] = row
+    assert index.scc_bits == expected
+    for root, row in enumerate(expected):
+        ids, _reached = index.cyclic_component_ids(root, 0, 0)
+        if row:
+            assert ids is not None and sum(1 << i for i in ids) == row
+        else:
+            assert ids is None
 
 
 _KERNEL_PATTERNS = {
@@ -268,6 +312,24 @@ class TestClosureKernel:
     def test_patterns(self, name, data):
         graph = graph_of(_KERNEL_PATTERNS[name])
         _check_kernel_against_oracles(AnalysisIndex(graph), data)
+
+
+class TestUnprunedScc:
+    """``scc_bits``, the prefilter that answers off-cycle roots at once."""
+
+    @FAST
+    @given(small_programs())
+    def test_random_programs(self, program):
+        _check_scc_bits(AnalysisIndex(graph_of(program)))
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_PATTERNS))
+    def test_patterns(self, name):
+        _check_scc_bits(AnalysisIndex(graph_of(_KERNEL_PATTERNS[name])))
+
+    def test_straight_line_program_is_off_cycle(self, handshake):
+        index = AnalysisIndex(graph_of(handshake))
+        assert not any(index.scc_bits)
+        assert index.cyclic_component_ids(2, 0, 0) == (None, 0)
 
 
 class TestSatelliteBehaviors:

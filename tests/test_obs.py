@@ -276,12 +276,13 @@ class TestPipelineInstrumentation:
 class TestHeadLoopAndRendering:
     def test_nodes_reached_sums_forward_reach_per_head(self):
         """``refined.nodes_reached``: per examined head, the nodes ``h_i``
-        reaches in its pruned CLG (oracle: a plain-set BFS)."""
+        reaches in its pruned CLG inside its cyclic SCC of the unpruned
+        CLG (oracle: a plain-set BFS)."""
         from repro.analysis.index import AnalysisIndex
         from repro.analysis.refined import possible_heads
         from repro.api import prepare
         from repro.workloads.adl_corpus import load_adl
-        from tests.test_index import _forward_reach, _pruned_clg_filters
+        from tests.test_index import _restricted_reach, _unpruned_cycle
 
         source = load_adl("atm_deadlock")
         with obs.observed() as session:
@@ -289,20 +290,52 @@ class TestHeadLoopAndRendering:
         graph = prepare(source).sync_graph
         index = AnalysisIndex(graph)
         expected = 0
+        closures = 0
+        off_cycle = 0
         for head in possible_heads(graph):
             no_sync, do_not_enter = index.head_marks(head)
             root = index.in_id[head]
             if ((no_sync | do_not_enter) >> root) & 1:
                 continue
-            edge_ok, node_ok = _pruned_clg_filters(
-                index, no_sync, do_not_enter
-            )
-            expected += len(_forward_reach(index, root, edge_ok, node_ok))
-        reached = session.registry.counter_value("refined.nodes_reached")
+            expected += _restricted_reach(index, root, no_sync, do_not_enter)
+            if _unpruned_cycle(index, root) is None:
+                off_cycle += 1
+            else:
+                closures += 1
+        registry = session.registry
+        reached = registry.counter_value("refined.nodes_reached")
         assert reached == expected
-        assert reached > session.registry.counter_value(
-            "refined.heads_examined"
+        # Each closure reaches its root; some reach further.
+        assert reached > closures > 0
+        assert registry.counter_value("refined.heads_off_cycle") == off_cycle
+
+    def test_straight_line_heads_are_off_cycle(self):
+        """Two tasks with ``n`` send/accept pairs in the same order: the
+        CLG has no cycle, so every head that reaches the kernel is
+        answered without a closure."""
+        from repro.analysis.index import AnalysisIndex
+        from repro.analysis.refined import possible_heads
+        from repro.api import prepare
+
+        n = 12
+        sends = " ".join(f"send b.m{i};" for i in range(n))
+        accepts = " ".join(f"accept m{i};" for i in range(n))
+        source = (
+            f"program straight; task a is begin {sends} end; "
+            f"task b is begin {accepts} end;"
         )
+        with obs.observed() as session:
+            repro.analyze(source)
+        graph = prepare(source).sync_graph
+        index = AnalysisIndex(graph)
+        kernel_heads = 0
+        for head in possible_heads(graph):
+            no_sync, do_not_enter = index.head_marks(head)
+            kernel_heads += not ((no_sync | do_not_enter) >> index.in_id[head]) & 1
+        registry = session.registry
+        assert kernel_heads > 0
+        assert registry.counter_value("refined.heads_off_cycle") == kernel_heads
+        assert registry.counter_value("refined.nodes_reached") == 0
 
     def test_cli_json_run_emits_render_span(self, tmp_path, capsys):
         from repro.cli import main

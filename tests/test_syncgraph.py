@@ -1,11 +1,18 @@
 """Sync graph construction tests (paper, Section 2)."""
 
 import pytest
+from hypothesis import given
 
+from repro.api import prepare
 from repro.lang.ast_nodes import Signal
 from repro.lang.parser import parse_program
 from repro.syncgraph.build import build_sync_graph
 from repro.syncgraph.dot import sync_graph_to_dot
+from repro.transforms.unroll import remove_loops
+from repro.workloads.adl_corpus import adl_corpus, repair_corpus
+from tests.conftest import graph_of
+from tests.test_nesting import _nested_source
+from tests.test_properties import FAST, small_programs
 
 
 def graph_for(src):
@@ -102,6 +109,42 @@ class TestControlEdges:
         assert not build_sync_graph(handshake).has_control_cycle()
 
 
+def _assert_control_edges_distinct(sg):
+    """``build_sync_graph`` inserts edges without a duplicate check."""
+    edges = list(sg.control_edges())
+    assert len(edges) == len(set(edges))
+    return len(edges)
+
+
+class TestControlEdgesDistinct:
+    @FAST
+    @given(small_programs())
+    def test_random_programs(self, program):
+        _assert_control_edges_distinct(build_sync_graph(program))
+        _assert_control_edges_distinct(graph_of(program))
+
+    def test_corpora(self, corpus):
+        programs = [entry.program for entry in corpus.values()]
+        programs += [entry.program for entry in adl_corpus().values()]
+        programs += [entry.program for entry in repair_corpus().values()]
+        for program in programs:
+            prep = prepare(program)
+            _assert_control_edges_distinct(prep.sync_graph)
+            _assert_control_edges_distinct(build_sync_graph(prep.inlined))
+
+    def test_deep_while_nest(self):
+        # 9 nested ``while ? loop`` around a send, against a looping
+        # accept: 514 rendezvous nodes after unrolling, dense control.
+        source = _nested_source(9, "while").replace(
+            "task b is begin accept m; end;",
+            "task b is begin while ? loop accept m; end loop; end;",
+        )
+        unrolled, _ = remove_loops(parse_program(source))
+        sg = build_sync_graph(unrolled)
+        assert len(sg.rendezvous_nodes) == 514
+        assert _assert_control_edges_distinct(sg) == 66309
+
+
 class TestSyncEdges:
     def test_complementary_pairs_connected(self, handshake):
         sg = build_sync_graph(handshake)
@@ -137,6 +180,27 @@ class TestSyncEdges:
         sig = Signal("t2", "sig1")
         assert len(sg.senders_of(sig)) == 1
         assert len(sg.accepters_of(sig)) == 1
+
+
+class TestSyncNodeIdentity:
+    def test_hash_is_uid(self, handshake):
+        for node in build_sync_graph(handshake).nodes:
+            assert hash(node) == node.uid
+
+    def test_equal_nodes_hash_equally(self, handshake):
+        first = build_sync_graph(handshake).nodes
+        second = build_sync_graph(handshake).nodes
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+
+    def test_shared_uid_different_fields_unequal(self, handshake, crossed):
+        mine = build_sync_graph(handshake).rendezvous_nodes[0]
+        other = build_sync_graph(crossed).rendezvous_nodes[0]
+        assert mine.uid == other.uid
+        assert (mine.kind, mine.signal) != (other.kind, other.signal)
+        assert mine != other
+        assert len({mine, other}) == 2
 
 
 class TestReachability:
